@@ -68,11 +68,10 @@ func main() {
 		RouteEpoch: *epoch,
 		Clock:      sim.NewRealClock(),
 	}
-	var (
-		api     udprun.BrainAPI
-		metrics func() brain.Metrics
-		shards  string
-	)
+	// One Streaming Brain service, chosen here; everything below is the
+	// same whichever deployment is behind it.
+	var svc brain.Service
+	shards := ""
 	if *regions > 1 {
 		// Federated Brain: contiguous ID blocks, reserved relays reused
 		// as the cross-shard stitch gateways.
@@ -80,15 +79,12 @@ func main() {
 			Brain:     bcfg,
 			Partition: brainfed.Contiguous(*n, *regions, lr),
 		})
-		defer fed.Close()
-		api, metrics = fed, fed.Metrics
-		shards = fmt.Sprintf(", %d shards", fed.Shards())
+		svc, shards = fed, fmt.Sprintf(", %d shards", fed.Shards())
 	} else {
-		b := brain.New(bcfg)
-		defer b.Close()
-		api, metrics = b, b.Metrics
+		svc = brain.New(bcfg)
 	}
-	srv, err := udprun.NewBrainServer(api, *listen)
+	defer svc.Close()
+	srv, err := udprun.NewBrainServer(svc, *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "livenet-brain:", err)
 		os.Exit(1)
@@ -106,7 +102,7 @@ func main() {
 			fmt.Println("shutting down")
 			return
 		case <-tick.C:
-			m := metrics()
+			m := svc.Metrics()
 			fmt.Printf("lookups=%d pibHits=%d pibMisses=%d lastResort=%d alarms=%d streams=%d\n",
 				m.Lookups, m.PIBHits, m.PIBMisses, m.LastResortUsed, m.OverloadAlarms, m.StreamsActive)
 		}

@@ -221,8 +221,8 @@ type Brain struct {
 	linkSeen map[pairKey]time.Duration
 	nodeSeen []time.Duration
 
-	// Dense-mesh fast path (see dense.go).
-	dense        bool
+	// Dense-mesh weight matrix, stamped by graph version (see dense.go;
+	// versions start at 1, so the zero stamp forces the first build).
 	denseW       []float64
 	denseVersion uint64
 }
@@ -819,7 +819,7 @@ func (b *Brain) pibEntryLocked(src, dst int) *pibEntry {
 // immediately).
 func (b *Brain) computeEntryLocked(src, dst int) *pibEntry {
 	var raw []ksp.Path
-	if b.dense {
+	if b.denseLocked() {
 		raw = b.computePathsDense(src, dst)
 	} else {
 		a := b.arenasLocked()[0]
@@ -934,7 +934,8 @@ func (b *Brain) recomputeMissingLocked(jobs []recomputeJob) {
 	}
 	version := b.view.Version()
 	arenas := b.arenasLocked()
-	if b.dense {
+	dense := b.denseLocked()
+	if dense {
 		b.denseWeightsLocked() // build once; workers then read it
 	} else {
 		b.view.MaterializeWeights()
@@ -952,7 +953,7 @@ func (b *Brain) recomputeMissingLocked(jobs []recomputeJob) {
 	nw := b.view.NeighborWeights
 	results, _ := runner.MapW(b.cfg.Recompute, jobs, func(w int, j recomputeJob) jobResult {
 		r := jobResult{entries: make([]*pibEntry, len(j.dsts))}
-		if b.dense {
+		if dense {
 			for i, d := range j.dsts {
 				r.entries[i] = b.newEntry(b.computePathsDense(j.src, d), version)
 			}
@@ -969,7 +970,7 @@ func (b *Brain) recomputeMissingLocked(jobs []recomputeJob) {
 		return r
 	})
 	for ji, j := range jobs {
-		if !b.dense {
+		if !dense {
 			b.trees[j.src] = treeEntry{version: version, tree: results[ji].tree}
 		}
 		for i, d := range j.dsts {
@@ -1073,7 +1074,7 @@ func (b *Brain) PrefetchPaths(sid uint32) (map[int][][]int, error) {
 			}
 			jobs = append(jobs, recomputeJob{src: producer, dsts: missing[at:end]})
 		}
-		if !b.dense {
+		if !b.denseLocked() {
 			b.treeLocked(producer) // ensure the shared tree exists once
 		}
 		b.recomputeMissingLocked(jobs)

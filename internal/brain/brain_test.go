@@ -29,13 +29,6 @@ func fullMesh(t *testing.T, n int, lastResort []int) (*Brain, *geo.World) {
 	return b, w
 }
 
-func TestLookupUnknownStream(t *testing.T) {
-	b, _ := fullMesh(t, 8, nil)
-	if _, err := b.Lookup(99, 3); err != ErrUnknownStream {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestLookupReturnsKOrderedPaths(t *testing.T) {
 	b, w := fullMesh(t, 16, nil)
 	b.RegisterStream(1, 2)
@@ -288,41 +281,6 @@ func TestReportLinkDownExcludesImmediately(t *testing.T) {
 	}
 }
 
-func TestRegisterUnregister(t *testing.T) {
-	b, _ := fullMesh(t, 6, nil)
-	b.RegisterStream(7, 2)
-	if p, ok := b.Producer(7); !ok || p != 2 {
-		t.Fatalf("producer = %d ok=%v", p, ok)
-	}
-	if b.Metrics().StreamsActive != 1 {
-		t.Fatal("active streams != 1")
-	}
-	b.UnregisterStream(7)
-	if _, ok := b.Producer(7); ok {
-		t.Fatal("stream should be gone")
-	}
-}
-
-func TestPrefetchPaths(t *testing.T) {
-	b, _ := fullMesh(t, 10, nil)
-	b.RegisterStream(1, 3)
-	m, err := b.PrefetchPaths(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m) != 9 {
-		t.Fatalf("prefetched for %d nodes, want 9", len(m))
-	}
-	for dst, paths := range m {
-		if len(paths) == 0 || paths[0][0] != 3 || paths[0][len(paths[0])-1] != dst {
-			t.Fatalf("bad prefetch for %d: %v", dst, paths)
-		}
-	}
-	if _, err := b.PrefetchPaths(99); err != ErrUnknownStream {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestRecomputeAllFillsPIB(t *testing.T) {
 	b, _ := fullMesh(t, 8, nil)
 	b.RecomputeAll()
@@ -370,42 +328,49 @@ func TestMaxHopsFilter(t *testing.T) {
 	}
 }
 
-// testComputePaths runs Global Routing for one pair and returns the
-// hop-filtered candidates, bypassing the PIB.
+// testComputePaths runs Global Routing for one pair on the engine the
+// Brain selects and returns the hop-filtered candidates, bypassing the
+// PIB.
 func testComputePaths(b *Brain, src, dst int) []ksp.Path {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.computeEntryLocked(src, dst).paths
 }
 
+// testYenPaths is testComputePaths pinned to the arena-Yen engine,
+// whatever the view looks like: the reference the dense enumerator is
+// compared against on a full mesh, where the Brain itself would no
+// longer pick Yen.
+func testYenPaths(b *Brain, src, dst int) []ksp.Path {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	raw := b.arenasLocked()[0].YenFromTreeH(b.cfg.N, src, dst, b.cfg.K, b.view.NeighborWeights, b.treeLocked(src), b.rdistLocked(dst))
+	return b.newEntry(raw, b.view.Version()).paths
+}
+
 func TestDenseMatchesYenOnFullMesh(t *testing.T) {
 	rng := sim.NewSource(11).Stream("dense")
 	for trial := 0; trial < 5; trial++ {
 		n := 12 + trial*4
-		mkBrain := func() *Brain {
-			b := New(Config{N: n})
-			for i := 0; i < n; i++ {
-				for j := 0; j < n; j++ {
-					if i != j {
-						// Deterministic per-trial weights via a fresh RNG pass
-						// would desync the two brains, so derive from indices.
-						rtt := time.Duration(5+((i*31+j*17+trial*7)%120)) * time.Millisecond
-						b.ReportLink(i, j, rtt, 0, 0.1)
-					}
+		b := New(Config{N: n})
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j {
+					rtt := time.Duration(5+((i*31+j*17+trial*7)%120)) * time.Millisecond
+					b.ReportLink(i, j, rtt, 0, 0.1)
 				}
 			}
-			return b
 		}
-		yen := mkBrain()
-		dense := mkBrain()
-		dense.EnableDense()
+		if !b.DenseRouting() {
+			t.Fatalf("n=%d: a fully reported mesh must select the dense enumerator", n)
+		}
 		src := rng.Intn(n)
 		dst := (src + 1 + rng.Intn(n-1)) % n
 		if src == dst {
 			continue
 		}
-		yp := testComputePaths(yen, src, dst)
-		dp := testComputePaths(dense, src, dst)
+		yp := testYenPaths(b, src, dst)
+		dp := testComputePaths(b, src, dst)
 		// Yen computes the global top-k then filters >3-hop paths (the
 		// paper's order), so it may return fewer than k; dense enumerates
 		// within the hop constraint and always finds k. Dense must contain
@@ -440,17 +405,70 @@ func TestDenseMatchesYenOnFullMesh(t *testing.T) {
 	}
 }
 
-func TestDenseLookupWorks(t *testing.T) {
-	b, _ := fullMesh(t, 20, nil)
-	b.EnableDense()
-	b.RegisterStream(1, 2)
-	paths, err := b.Lookup(1, 15)
-	if err != nil || len(paths) != 3 {
-		t.Fatalf("paths=%v err=%v", paths, err)
-	}
-	for _, p := range paths {
-		if p[0] != 2 || p[len(p)-1] != 15 || len(p)-1 > DefaultMaxHops {
-			t.Fatalf("bad dense path %v", p)
+// TestEngineSelection pins what the Brain observes to pick its routing
+// engine: the dense enumerator exactly when the view holds every one of
+// the N·(N−1) directed links (and the hop bound is within its reach),
+// arena Yen otherwise. Failure marks do not count as missing links.
+func TestEngineSelection(t *testing.T) {
+	const n = 12
+	mesh := func(b *Brain, keep func(i, j int) bool) {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if i != j && keep(i, j) {
+					b.ReportLink(i, j, time.Duration(5+(i*7+j*3)%40)*time.Millisecond, 0, 0.1)
+				}
+			}
 		}
 	}
+	all := func(int, int) bool { return true }
+
+	full := New(Config{N: n})
+	mesh(full, func(i, j int) bool { return !(i == n-1 && j == n-2) })
+	if full.DenseRouting() {
+		t.Fatal("one unreported link: the view is not yet a full mesh")
+	}
+	full.ReportLink(n-1, n-2, 9*time.Millisecond, 0, 0.1)
+	if !full.DenseRouting() {
+		t.Fatal("fully reported mesh must select the dense enumerator")
+	}
+	// A failed link (or node) stays in the view at +Inf: the mesh is
+	// still full, and the enumerator routes around it.
+	full.ReportLinkDown(0, 5)
+	full.ReportNodeDown(7)
+	if !full.DenseRouting() {
+		t.Fatal("a down link must not flip the engine")
+	}
+	full.RegisterStream(1, 0)
+	paths, err := full.Lookup(1, 5)
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("lookup around the dead link: %v %v", paths, err)
+	}
+	for _, p := range paths {
+		if len(p) == 2 || pathHas(p, 7) {
+			t.Fatalf("path %v uses the dead link or node", p)
+		}
+	}
+
+	// A capped-degree overlay (each node links to its 4 ring neighbours).
+	sparse := New(Config{N: n})
+	mesh(sparse, func(i, j int) bool { d := (i - j + n) % n; return d <= 2 || d >= n-2 })
+	if sparse.DenseRouting() {
+		t.Fatal("sparse overlay must stay on arena Yen")
+	}
+
+	// The enumerator stops at two relays; a longer hop bound needs Yen.
+	long := New(Config{N: n, MaxHops: 5})
+	mesh(long, all)
+	if long.DenseRouting() {
+		t.Fatal("MaxHops beyond the enumerator's reach must stay on arena Yen")
+	}
+}
+
+func pathHas(p []int, id int) bool {
+	for _, h := range p {
+		if h == id {
+			return true
+		}
+	}
+	return false
 }

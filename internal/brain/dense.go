@@ -19,13 +19,25 @@ import (
 // enumerator searches within the hop constraint, so it returns the same
 // or better candidates (asserted by TestDenseMatchesYenOnFullMesh).
 
-// EnableDense switches path computation to the dense-mesh enumerator.
-// Call it when the reported topology is a full mesh.
-func (b *Brain) EnableDense() {
+// denseHops is the longest path the enumerator considers (two relays).
+const denseHops = 3
+
+// denseLocked reports whether Global Routing runs on the enumerator: when
+// the view holds all N·(N−1) directed links and the hop bound is within
+// the enumerator's reach. The Brain observes this itself — a flat-CDN
+// full mesh selects the enumerator, a capped-degree overlay or a
+// federation shard's regional view stays on arena Yen. Links never leave
+// the view (a failed link stays, marked down, at +Inf), so once a full
+// mesh has reported the choice does not flip back.
+func (b *Brain) denseLocked() bool {
+	return b.view.Edges() == b.cfg.N*(b.cfg.N-1) && b.cfg.MaxHops <= denseHops
+}
+
+// DenseRouting reports which engine the next path computation uses.
+func (b *Brain) DenseRouting() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.dense = true
-	b.denseVersion = 0 // graph versions start at 1: forces a build
+	return b.denseLocked()
 }
 
 // denseWeightsLocked (re)builds the dense weight matrix for the current

@@ -42,12 +42,46 @@ func comparePairs(t *testing.T, tag string, n int, x, y *Brain) {
 	}
 }
 
+// topology is one of the two views the pins below run on: the Brain
+// picks its routing engine from the view, so "mesh" (every link
+// reported) exercises the dense enumerator and "sparse" (a tenth of the
+// links never reported) arena Yen — the engine paper-scale overlays use.
+type topology struct {
+	name  string
+	skip  func(i, j int) bool
+	dense bool
+}
+
+var topologies = []topology{
+	{name: "mesh", skip: func(i, j int) bool { return false }, dense: true},
+	{name: "sparse", skip: func(i, j int) bool { return (i*7+j*3)%11 == 0 }},
+}
+
+// forEachEngine runs fn once per topology; check asserts a built Brain
+// selected the engine the topology stands for.
+func forEachEngine(t *testing.T, fn func(t *testing.T, topo topology, check func(*Brain))) {
+	for _, topo := range topologies {
+		t.Run(topo.name, func(t *testing.T) {
+			fn(t, topo, func(b *Brain) {
+				t.Helper()
+				if b.DenseRouting() != topo.dense {
+					t.Fatalf("%s view: DenseRouting() = %v", topo.name, !topo.dense)
+				}
+			})
+		})
+	}
+}
+
 // TestIncrementalMatchesRecompute is the correctness property behind
 // incremental epochs: across randomized sequences of link-weight changes,
 // link/node failures, revivals, and overload alarms, the brain that keeps
 // provably-unaffected PIB entries serves exactly the paths of a control
 // brain whose cache is dropped from scratch every round.
 func TestIncrementalMatchesRecompute(t *testing.T) {
+	forEachEngine(t, testIncrementalMatchesRecompute)
+}
+
+func testIncrementalMatchesRecompute(t *testing.T, topo topology, check func(*Brain)) {
 	const n = 18
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -56,11 +90,11 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 			ref := New(Config{N: n})
 			both := func(f func(b *Brain)) { f(inc); f(ref) }
 
-			// Identical random full-mesh metrics (continuous weights: ties
-			// have measure zero, so equal-cost ambiguity cannot occur).
+			// Identical random metrics (continuous weights: ties have
+			// measure zero, so equal-cost ambiguity cannot occur).
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
-					if i == j {
+					if i == j || topo.skip(i, j) {
 						continue
 					}
 					rtt := time.Duration(3000+rng.Intn(120000)) * time.Microsecond
@@ -69,6 +103,7 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 					both(func(b *Brain) { b.ReportLink(i, j, rtt, loss, util) })
 				}
 			}
+			both(check)
 			both(func(b *Brain) { b.AdvanceEpoch() })
 			comparePairs(t, "warmup", n, inc, ref)
 
@@ -78,6 +113,9 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 					j := rng.Intn(n - 1)
 					if j >= i {
 						j++
+					}
+					if topo.skip(i, j) {
+						continue // an unreported link stays unreported
 					}
 					switch rng.Intn(6) {
 					case 0, 1, 2: // routine metric drift
@@ -108,14 +146,18 @@ func TestIncrementalMatchesRecompute(t *testing.T) {
 	}
 }
 
-// deterministicMesh reports the same full-mesh metrics into a brain.
-func deterministicMesh(b *Brain, n int, seed int64) {
+// deterministicMesh reports the same metrics into a brain, for every
+// link the topology has.
+func deterministicMesh(b *Brain, n int, seed int64, topo topology) {
 	rng := sim.NewSource(seed).Stream("mesh")
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j {
 				rtt := time.Duration(2000+rng.Intn(90000)) * time.Microsecond
-				b.ReportLink(i, j, rtt, rng.Float64()*0.005, rng.Float64()*0.5)
+				loss, util := rng.Float64()*0.005, rng.Float64()*0.5
+				if !topo.skip(i, j) {
+					b.ReportLink(i, j, rtt, loss, util)
+				}
 			}
 		}
 	}
@@ -126,11 +168,16 @@ func deterministicMesh(b *Brain, n int, seed int64) {
 // PIB contents and served paths to runner.Serial(), across a cold
 // RecomputeAll, a PrefetchPaths fill, and a churned incremental round.
 func TestRecomputeParallelMatchesSerial(t *testing.T) {
+	forEachEngine(t, testRecomputeParallelMatchesSerial)
+}
+
+func testRecomputeParallelMatchesSerial(t *testing.T, topo topology, check func(*Brain)) {
 	const n = 24
-	par := New(Config{N: n})                        // zero Options: parallel
+	par := New(Config{N: n}) // zero Options: parallel
 	ser := New(Config{N: n, Recompute: runner.Serial()})
 	for _, b := range []*Brain{par, ser} {
-		deterministicMesh(b, n, 11)
+		deterministicMesh(b, n, 11, topo)
+		check(b)
 		b.RegisterStream(5, 3)
 	}
 
@@ -165,6 +212,9 @@ func TestRecomputeParallelMatchesSerial(t *testing.T) {
 			j++
 		}
 		rtt := time.Duration(2000+rng.Intn(90000)) * time.Microsecond
+		if topo.skip(i, j) {
+			continue
+		}
 		for _, b := range []*Brain{par, ser} {
 			b.ReportLink(i, j, rtt, 0.001, 0.2)
 		}
@@ -181,6 +231,10 @@ func TestRecomputeParallelMatchesSerial(t *testing.T) {
 // state, not of the order reports arrived in (Global Discovery reports
 // race in production; the sweep and invalidation walks iterate Go maps).
 func TestReportOrderIndependence(t *testing.T) {
+	forEachEngine(t, testReportOrderIndependence)
+}
+
+func testReportOrderIndependence(t *testing.T, topo topology, check func(*Brain)) {
 	const n = 16
 	type rep struct {
 		i, j       int
@@ -191,7 +245,7 @@ func TestReportOrderIndependence(t *testing.T) {
 	rng := sim.NewSource(21).Stream("order")
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if i != j {
+			if i != j && !topo.skip(i, j) {
 				reports = append(reports, rep{
 					i: i, j: j,
 					rtt:  time.Duration(2000+rng.Intn(90000)) * time.Microsecond,
@@ -210,6 +264,8 @@ func TestReportOrderIndependence(t *testing.T) {
 		r := reports[k]
 		rev.ReportLink(r.i, r.j, r.rtt, r.loss, r.util)
 	}
+	check(fwd)
+	check(rev)
 	fwd.AdvanceEpoch()
 	rev.AdvanceEpoch()
 	comparePairs(t, "initial", n, fwd, rev)
@@ -243,9 +299,14 @@ func TestReportOrderIndependence(t *testing.T) {
 // round where ~1% of links drifted drops only the affected sliver of the
 // PIB, and the refill recomputes exactly the dropped entries.
 func TestIncrementalWorkReduction(t *testing.T) {
+	forEachEngine(t, testIncrementalWorkReduction)
+}
+
+func testIncrementalWorkReduction(t *testing.T, topo topology, check func(*Brain)) {
 	const n = 32
 	b := New(Config{N: n})
-	deterministicMesh(b, n, 31)
+	deterministicMesh(b, n, 31, topo)
+	check(b)
 	b.AdvanceEpoch()
 	b.RecomputeAll()
 	pairs := uint64(n * (n - 1))
@@ -261,6 +322,9 @@ func TestIncrementalWorkReduction(t *testing.T) {
 		j := rng.Intn(n - 1)
 		if j >= i {
 			j++
+		}
+		if topo.skip(i, j) {
+			continue
 		}
 		l := b.View().Link(i, j)
 		b.ReportLink(i, j, l.RTT+2*time.Millisecond, l.Loss, l.Util)

@@ -21,7 +21,6 @@ import (
 type ReplicatedBrain struct {
 	// Local is this site's Brain (answers lookups locally).
 	Local   *Brain
-	id      int
 	replica *replication.Replica
 	// extra handles committed log entries that are not SIB ops (e.g. the
 	// federation's stitch-cache entries). Set before any commit arrives.
@@ -46,7 +45,7 @@ func encodeSIBOp(op byte, sid uint32, producer uint16) []byte {
 // deployment. id/peers/transport configure the Paxos group; clock drives
 // proposal retries.
 func NewReplicated(local *Brain, id int, peers []int, tr replication.Transport, clock sim.Clock) *ReplicatedBrain {
-	rb := &ReplicatedBrain{Local: local, id: id}
+	rb := &ReplicatedBrain{Local: local}
 	rb.replica = replication.NewReplica(id, peers, tr, clock)
 	rb.replica.OnCommit = func(_ int, value []byte) {
 		if len(value) == 7 && (value[0] == opRegister || value[0] == opUnregister) {
@@ -96,23 +95,6 @@ func (rb *ReplicatedBrain) RegisterStream(sid uint32, producer int) {
 // UnregisterStream proposes the removal.
 func (rb *ReplicatedBrain) UnregisterStream(sid uint32) {
 	rb.replica.Propose(encodeSIBOp(opUnregister, sid, 0))
-}
-
-// ID returns this replica's identity in the Paxos group.
-func (rb *ReplicatedBrain) ID() int { return rb.id }
-
-// Lookup serves a path request from the local replica's view.
-func (rb *ReplicatedBrain) Lookup(sid uint32, consumer int) ([][]int, error) {
-	return rb.Local.Lookup(sid, consumer)
-}
-
-// LookupServed is Lookup plus attribution: it also returns which replica
-// answered, so callers can record home-vs-failover serving in telemetry
-// (a lookup served by a non-home replica is a failover; in a federated
-// deployment the same attribution distinguishes shard-local fallbacks).
-func (rb *ReplicatedBrain) LookupServed(sid uint32, consumer int) ([][]int, int, error) {
-	paths, err := rb.Local.Lookup(sid, consumer)
-	return paths, rb.id, err
 }
 
 // Close stops the replica's timers.

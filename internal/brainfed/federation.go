@@ -171,9 +171,14 @@ type Federation struct {
 	shards []*brain.Brain
 	groups []*shardGroup // per-shard Paxos groups; nil without replication
 
-	mu          sync.Mutex
-	sib         map[uint32]int
-	down        []bool
+	mu   sync.Mutex
+	sib  map[uint32]int
+	down []bool
+	// draining mirrors the mark SetDraining broadcasts to the shards: a
+	// shard exempts a segment's endpoints from its draining filter, and a
+	// gateway is an endpoint of every segment it joins, so the stitcher
+	// must check the spliced path's interior itself.
+	draining    map[int]bool
 	stitchCache map[pairKey][][]int
 	digests     []*digest
 	reportCount []uint64
@@ -215,6 +220,7 @@ func New(cfg Config) *Federation {
 		tel:         newFedInstruments(cfg.Telemetry),
 		sib:         make(map[uint32]int),
 		down:        make([]bool, p.Shards()),
+		draining:    make(map[int]bool),
 		stitchCache: make(map[pairKey][][]int),
 		digests:     make([]*digest, p.Shards()),
 		reportCount: make([]uint64, p.Shards()),
@@ -336,12 +342,23 @@ func (f *Federation) ReportNodeLoad(id int, util float64) {
 	}
 }
 
-// Draining reports whether any shard has the node marked draining
-// (SetDraining broadcasts, so the shards agree; "any" keeps the answer
-// right even mid-broadcast).
+// Draining reports whether the node is marked draining.
 func (f *Federation) Draining(id int) bool {
-	for _, sh := range f.shards {
-		if sh.Draining(id) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.draining[id]
+}
+
+// interiorDraining reports whether a spliced path relays through a
+// draining node (endpoints are exempt, as in the shards' own filter).
+func (f *Federation) interiorDraining(path []int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.draining) == 0 {
+		return false
+	}
+	for _, id := range path[1 : len(path)-1] {
+		if f.draining[id] {
 			return true
 		}
 	}
@@ -683,7 +700,7 @@ func (f *Federation) stitch(producer, consumer, ss, ds int) [][]int {
 			continue
 		}
 		full = append(full, es.Path[1:]...)
-		if hasRepeats(full) {
+		if hasRepeats(full) || f.interiorDraining(full) {
 			continue
 		}
 		if transit {
@@ -861,6 +878,13 @@ func (f *Federation) RecoverStitchCache() int {
 // may route a stitched segment through the node, so the exclusion must
 // be federation-wide.
 func (f *Federation) SetDraining(id int, v bool) {
+	f.mu.Lock()
+	if v {
+		f.draining[id] = true
+	} else {
+		delete(f.draining, id)
+	}
+	f.mu.Unlock()
 	for _, sh := range f.shards {
 		sh.SetDraining(id, v)
 	}

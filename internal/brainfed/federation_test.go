@@ -355,40 +355,6 @@ func TestReportFanInRoutesToOwner(t *testing.T) {
 	}
 }
 
-func TestFederationEpochAndPrefetch(t *testing.T) {
-	const n = 36
-	w, links := testWorld(t, n)
-	part := ByRegion(w, 0)
-	fed := New(Config{Brain: brain.Config{N: n, MaxHops: 8}, Partition: part, MaxStitch: 16})
-	defer fed.Close()
-	reportAll(w, links, fed)
-
-	fed.RegisterStream(7, 0)
-	warm, err := fed.PrefetchPaths(7)
-	if err != nil {
-		t.Fatalf("PrefetchPaths: %v", err)
-	}
-	if len(warm) < n-1 {
-		t.Fatalf("prefetch warmed %d consumers, want %d", len(warm), n-1)
-	}
-	fed.AdvanceEpoch()
-	times := fed.EpochTimes()
-	if len(times) != part.Shards() {
-		t.Fatalf("EpochTimes len %d, want %d", len(times), part.Shards())
-	}
-	m := fed.Metrics()
-	if m.StreamsActive != 1 {
-		t.Fatalf("StreamsActive = %d, want 1", m.StreamsActive)
-	}
-	gv := fed.GlobalView()
-	if gv.Nodes != n || gv.Links == 0 {
-		t.Fatalf("GlobalView nodes=%d links=%d", gv.Nodes, gv.Links)
-	}
-	if want := 2 * len(links); gv.Links != want {
-		t.Fatalf("merged GlobalView has %d links, want %d (each link owned once)", gv.Links, want)
-	}
-}
-
 func TestFederationReplicatedSIB(t *testing.T) {
 	const n = 36
 	w, _ := testWorld(t, n)

@@ -23,7 +23,6 @@ import (
 	"livenet/internal/media"
 	"livenet/internal/netem"
 	"livenet/internal/node"
-	"livenet/internal/replication"
 	"livenet/internal/sim"
 	"livenet/internal/stats"
 	"livenet/internal/telemetry"
@@ -132,22 +131,14 @@ type Cluster struct {
 	Loop        *sim.Loop
 	World       *geo.World
 	Net         *netem.Network
-	Brain       *brain.Brain
-	Nodes       []*node.Node
+	// Brain is the Streaming Brain, whatever is deployed behind it: a
+	// *brain.Brain, a *brain.Ring (Replicas > 1) or a *brainfed.Federation
+	// (Regions > 0). This package talks to it as a Service; tests and
+	// reports that need one deployment's extras (a view clone, a shard
+	// map, a replica log) type-assert.
+	Brain brain.Service
+	Nodes []*node.Node
 
-	// Fed is the federated Brain when ClusterConfig.Regions > 0 (Brain
-	// is then nil — every control-plane interaction goes through the
-	// federation front-end).
-	Fed *brainfed.Federation
-
-	// Replicas holds the geo-replicated Brain group when
-	// ClusterConfig.Replicas > 1 (Brain then aliases Replicas[0].Local).
-	Replicas    []*brain.ReplicatedBrain
-	replicaDown []bool
-	// replicaPartitioned marks replicas cut off from consensus traffic
-	// (still alive and answering lookups, unlike replicaDown). For a
-	// federated Brain the same index space marks partitioned shards.
-	replicaPartitioned []bool
 	// BrainFailovers counts lookups that timed out on a dead replica and
 	// moved to the next; BrainLookupFailures counts lookups that exhausted
 	// every replica (the consumer node then uses its local path cache).
@@ -282,9 +273,11 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		}
 	}
 
-	// Streaming Brain: single instance, or a Paxos-replicated group with
-	// the SIB kept consistent across replicas (§7.1). Aging is enabled so
-	// elements whose owner stops reporting are routed around.
+	// Streaming Brain: the one place that knows which deployment is behind
+	// the Service — per-region shards, a Paxos-replicated ring (§7.1), or a
+	// single instance. Aging is enabled so elements whose owner stops
+	// reporting are routed around. Each Brain picks its routing engine from
+	// the view it is fed (dense once a full mesh has reported).
 	bcfg := brain.Config{
 		N:          cfg.Sites,
 		LastResort: world.IXPSites(),
@@ -294,39 +287,19 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 	switch {
 	case cfg.Regions > 0:
-		// Federated Brain: per-region shards behind the brainfed
-		// front-end. Shards keep the lazy per-pair KSP (each owns a
-		// subgraph, so dense N² materialization never pays off).
-		c.Fed = brainfed.New(brainfed.Config{
+		c.Brain = brainfed.New(brainfed.Config{
 			Brain:     bcfg,
 			Partition: brainfed.ByRegion(world, cfg.Regions),
 			Replicas:  cfg.Replicas,
 			Telemetry: c.BrainTel,
 		})
-		c.replicaPartitioned = make([]bool, c.Fed.Shards())
 	case cfg.Replicas > 1:
-		peers := make([]int, cfg.Replicas)
-		for i := range peers {
-			peers[i] = i
-		}
-		c.replicaDown = make([]bool, cfg.Replicas)
-		c.replicaPartitioned = make([]bool, cfg.Replicas)
-		tr := &paxosTransport{c: c}
-		for i := 0; i < cfg.Replicas; i++ {
-			local := brain.New(bcfg)
-			if cfg.MaxPeers <= 0 {
-				local.EnableDense()
-			}
-			c.Replicas = append(c.Replicas, brain.NewReplicated(local, i, peers, tr, loop))
-		}
-		c.Brain = c.Replicas[0].Local
+		// Consensus traffic crosses data centers: a modeled inter-DC delay.
+		c.Brain = brain.NewRing(bcfg, cfg.Replicas, func() time.Duration {
+			return time.Duration(5+loop.RNG("paxos").Intn(10)) * time.Millisecond
+		})
 	default:
 		c.Brain = brain.New(bcfg)
-		if cfg.MaxPeers <= 0 {
-			// Sparse overlays keep the lazy per-pair KSP; the dense solver
-			// assumes it is worth materializing all N² pairs per epoch.
-			c.Brain.EnableDense()
-		}
 	}
 	// Lookup attribution (satellite of the replicated/federated Brain):
 	// which replica answered, home vs failover. Nil-registry safe.
@@ -367,100 +340,14 @@ func (c *Cluster) buildNode(id int) *node.Node {
 		SerialSend:      c.cfg.SerialSend,
 		LinkRTT:         func(to int) time.Duration { return c.linkRTT(id, to) },
 		PathLookup:      c.pathLookup,
-		OnNewStream:     func(sid uint32) { c.registerStream(sid, id) },
-		OnStreamEnded:   func(sid uint32) { c.unregisterStream(sid) },
+		OnNewStream:     func(sid uint32) { c.Brain.RegisterStream(sid, id) },
+		OnStreamEnded:   c.Brain.UnregisterStream,
 		IsOverlay:       func(id int) bool { return id < clientIDBase },
 		UpstreamTimeout: c.cfg.NodeUpstreamTimeout,
 		LowerRendition: func(sid uint32) (uint32, bool) {
 			lower, ok := c.lowerRendition[sid]
 			return lower, ok
 		},
-	})
-}
-
-// registerStream records a stream's producer in the SIB: directly on a
-// single Brain, or proposed through the first live replica's Paxos group.
-func (c *Cluster) registerStream(sid uint32, producer int) {
-	if c.Fed != nil {
-		c.Fed.RegisterStream(sid, producer)
-		return
-	}
-	if len(c.Replicas) == 0 {
-		c.Brain.RegisterStream(sid, producer)
-		return
-	}
-	for t := 0; t < len(c.Replicas); t++ {
-		if idx := (producer + t) % len(c.Replicas); !c.replicaDown[idx] {
-			c.Replicas[idx].RegisterStream(sid, producer)
-			return
-		}
-	}
-}
-
-func (c *Cluster) unregisterStream(sid uint32) {
-	if c.Fed != nil {
-		c.Fed.UnregisterStream(sid)
-		return
-	}
-	if len(c.Replicas) == 0 {
-		c.Brain.UnregisterStream(sid)
-		return
-	}
-	for t := 0; t < len(c.Replicas); t++ {
-		if idx := t % len(c.Replicas); !c.replicaDown[idx] {
-			c.Replicas[idx].UnregisterStream(sid)
-			return
-		}
-	}
-}
-
-// discoverySink is the report surface Global Discovery feeds. Both the
-// monolithic Brain and the federation front-end implement it; with a
-// federation, reports route on to the shard owning the reporting node.
-type discoverySink interface {
-	ReportLink(from, to int, rtt time.Duration, loss, util float64)
-	ReportLinkDown(from, to int)
-	ReportNodeLoad(id int, util float64)
-	OverloadAlarm(id int, util float64)
-	LinkOverloadAlarm(from, to int, util float64)
-	ReportNodeTelemetry(id int, snap telemetry.Snapshot, streams []uint32)
-}
-
-// eachSink applies fn to every live report sink (Global Discovery
-// reports reach all replicas' local views; dead replicas miss them and
-// catch up from later reports after a restart).
-func (c *Cluster) eachSink(fn func(discoverySink)) {
-	if c.Fed != nil {
-		fn(c.Fed)
-		return
-	}
-	if len(c.Replicas) == 0 {
-		fn(c.Brain)
-		return
-	}
-	for i, rb := range c.Replicas {
-		if !c.replicaDown[i] {
-			fn(rb.Local)
-		}
-	}
-}
-
-// paxosTransport carries replica-to-replica consensus traffic with a
-// modeled inter-DC delay; messages to or from a killed replica vanish.
-type paxosTransport struct{ c *Cluster }
-
-func (t *paxosTransport) Send(from, to int, m replication.Msg) {
-	c := t.c
-	if c.replicaDown[from] || c.replicaDown[to] ||
-		c.replicaPartitioned[from] || c.replicaPartitioned[to] {
-		return
-	}
-	rng := c.Loop.RNG("paxos")
-	delay := time.Duration(5+rng.Intn(10)) * time.Millisecond
-	c.Loop.AfterFunc(delay, func() {
-		if !c.replicaDown[to] && !c.replicaPartitioned[to] {
-			c.Replicas[to].OnMessage(from, m)
-		}
 	})
 }
 
@@ -481,7 +368,7 @@ const replicaTimeout = 250 * time.Millisecond
 // pathLookup reaches the Brain's Path Decision module with a modeled
 // replica round trip: some consumers are co-located with a replica
 // (§7.1: the Path Decision module is replicated widely). With a
-// replicated Brain, the consumer's home replica is consumer mod R; a
+// replicated ring, the consumer's home replica is consumer mod R; a
 // dead replica times out and the lookup fails over to the next, and when
 // every replica is exhausted the node hears ErrBrainUnreachable and
 // serves from its local path cache.
@@ -495,58 +382,50 @@ func (c *Cluster) pathLookup(sid uint32, consumer int, cb func([][]int, error)) 
 	}
 	proc := time.Duration(2+rng.Intn(6)) * time.Millisecond
 	total := rtt + proc
-	if c.Fed != nil {
-		c.RespTimes.Add(float64(total) / float64(time.Millisecond))
-		c.Loop.AfterFunc(total, func() {
-			paths, err := c.Fed.Lookup(sid, consumer)
-			if errors.Is(err, brainfed.ErrShardUnreachable) {
-				// The fallback ladder ran dry: count it like an exhausted
-				// replica ring and let the node use its local path cache.
-				c.BrainLookupFailures++
-				err = ErrBrainUnreachable
-			}
-			cb(paths, err)
-		})
+	if ring, ok := c.Brain.(*brain.Ring); ok {
+		c.lookupReplica(ring, sid, consumer, consumer%ring.Replicas(), 0, total, cb)
 		return
 	}
-	if len(c.Replicas) == 0 {
-		c.RespTimes.Add(float64(total) / float64(time.Millisecond))
-		c.Loop.AfterFunc(total, func() {
-			paths, err := c.Brain.Lookup(sid, consumer)
-			cb(paths, err)
-		})
-		return
-	}
-	c.lookupReplica(sid, consumer, consumer%len(c.Replicas), 0, total, cb)
+	c.RespTimes.Add(float64(total) / float64(time.Millisecond))
+	c.Loop.AfterFunc(total, func() {
+		paths, err := c.Brain.Lookup(sid, consumer)
+		if errors.Is(err, brainfed.ErrShardUnreachable) {
+			// The federation's fallback ladder ran dry: count it like an
+			// exhausted ring and let the node use its local path cache.
+			c.BrainLookupFailures++
+			err = ErrBrainUnreachable
+		}
+		cb(paths, err)
+	})
 }
 
 // lookupReplica tries replica (home+tried) mod R, walking the ring until
 // one answers or all have timed out.
-func (c *Cluster) lookupReplica(sid uint32, consumer, home, tried int, rtt time.Duration, cb func([][]int, error)) {
-	if tried >= len(c.Replicas) {
+func (c *Cluster) lookupReplica(ring *brain.Ring, sid uint32, consumer, home, tried int, rtt time.Duration, cb func([][]int, error)) {
+	if tried >= ring.Replicas() {
 		c.BrainLookupFailures++
 		c.Loop.AfterFunc(replicaTimeout, func() { cb(nil, ErrBrainUnreachable) })
 		return
 	}
-	idx := (home + tried) % len(c.Replicas)
-	if c.replicaDown[idx] {
+	idx := (home + tried) % ring.Replicas()
+	if ring.Down(idx) {
 		c.Loop.AfterFunc(replicaTimeout, func() {
 			c.BrainFailovers++
-			c.lookupReplica(sid, consumer, home, tried+1, rtt, cb)
+			c.lookupReplica(ring, sid, consumer, home, tried+1, rtt, cb)
 		})
 		return
 	}
 	c.RespTimes.Add(float64(time.Duration(tried)*replicaTimeout+rtt) / float64(time.Millisecond))
 	c.Loop.AfterFunc(rtt, func() {
-		paths, served, err := c.Replicas[idx].LookupServed(sid, consumer)
+		paths, err := ring.LookupAt(idx, sid, consumer)
 		// Attribute the answer: a lookup served off the consumer's home
 		// replica is a failover the operator should see in telemetry.
-		if served == home {
+		if idx == home {
 			c.servedHome.Inc()
 		} else {
 			c.servedFailover.Inc()
 		}
-		c.lastReplica.Set(float64(served))
+		c.lastReplica.Set(float64(idx))
 		cb(paths, err)
 	})
 }
@@ -573,32 +452,28 @@ func (c *Cluster) discoveryLoop() {
 				if !c.Net.LinkUp(i, j) {
 					// The node's probes over a dead link time out: report
 					// the failure instead of stale metrics (§4.2).
-					c.eachSink(func(b discoverySink) { b.ReportLinkDown(i, j) })
+					c.Brain.ReportLinkDown(i, j)
 					continue
 				}
-				c.eachSink(func(b discoverySink) {
-					b.ReportLink(i, j, s.RTT, s.LossRate, s.Utilization)
-					if s.Utilization >= 0.8 {
-						b.LinkOverloadAlarm(i, j, s.Utilization)
-					}
-				})
+				c.Brain.ReportLink(i, j, s.RTT, s.LossRate, s.Utilization)
+				if s.Utilization >= 0.8 {
+					c.Brain.LinkOverloadAlarm(i, j, s.Utilization)
+				}
 				if s.Utilization > maxUtil {
 					maxUtil = s.Utilization
 				}
 			}
 			load := 0.7*maxUtil + 0.3*min(1, float64(c.Nodes[i].StreamCount())/64)
-			c.eachSink(func(b discoverySink) {
-				b.ReportNodeLoad(i, load)
-				if load >= 0.8 {
-					b.OverloadAlarm(i, load)
-				}
-			})
+			c.Brain.ReportNodeLoad(i, load)
+			if load >= 0.8 {
+				c.Brain.OverloadAlarm(i, load)
+			}
 			if c.NodeTel != nil {
 				// Telemetry rides the existing report: a registry snapshot
 				// plus the carried-stream set for fan-out accounting.
 				snap := c.NodeTel[i].Snapshot()
 				streams := c.Nodes[i].Streams()
-				c.eachSink(func(b discoverySink) { b.ReportNodeTelemetry(i, snap, streams) })
+				c.Brain.ReportNodeTelemetry(i, snap, streams)
 			}
 		}
 		c.discoveryLoop()
@@ -652,13 +527,7 @@ func (c *Cluster) NewBroadcasterAt(lat, lon float64, baseSID uint32, rends []med
 // popular stream to every node ahead of viewer arrival (§4.4), so the
 // first viewing request anywhere is a local hit.
 func (c *Cluster) PrefetchPopular(sid uint32) error {
-	var paths map[int][][]int
-	var err error
-	if c.Fed != nil {
-		paths, err = c.Fed.PrefetchPaths(sid)
-	} else {
-		paths, err = c.Brain.PrefetchPaths(sid)
-	}
+	paths, err := c.Brain.PrefetchPaths(sid)
 	if err != nil {
 		return err
 	}
@@ -808,18 +677,16 @@ func (c *Cluster) RestoreLastMile(nodeID int) {
 
 // KillReplica takes a Brain replica down: it stops answering lookups and
 // drops out of the consensus group (no-op without a replicated Brain).
-func (c *Cluster) KillReplica(i int) {
-	if i >= 0 && i < len(c.replicaDown) {
-		c.replicaDown[i] = true
-	}
-}
+func (c *Cluster) KillReplica(i int) { c.setReplicaDown(i, true) }
 
 // RestartReplica brings a Brain replica back; it catches up on SIB state
 // from subsequent consensus traffic and on view state from the next
 // discovery reports.
-func (c *Cluster) RestartReplica(i int) {
-	if i >= 0 && i < len(c.replicaDown) {
-		c.replicaDown[i] = false
+func (c *Cluster) RestartReplica(i int) { c.setReplicaDown(i, false) }
+
+func (c *Cluster) setReplicaDown(i int, down bool) {
+	if ring, ok := c.Brain.(*brain.Ring); ok {
+		ring.SetDown(i, down)
 	}
 }
 
@@ -828,40 +695,29 @@ func (c *Cluster) RestartReplica(i int) {
 // cannot commit proposals). With a federated Brain the index names a
 // shard instead: the shard becomes unreachable from the front-end and
 // cross-shard lookups degrade through the fallback ladder.
-func (c *Cluster) PartitionReplica(i int) {
-	if i < 0 || i >= len(c.replicaPartitioned) {
-		return
-	}
-	c.replicaPartitioned[i] = true
-	if c.Fed != nil {
-		c.Fed.SetShardDown(i, true)
-	}
-}
+func (c *Cluster) PartitionReplica(i int) { c.setReplicaPartitioned(i, true) }
 
 // HealReplica reconnects a partitioned replica (or federation shard);
 // stalled proposals catch up through retries and learn traffic.
-func (c *Cluster) HealReplica(i int) {
-	if i < 0 || i >= len(c.replicaPartitioned) {
-		return
-	}
-	c.replicaPartitioned[i] = false
-	if c.Fed != nil {
-		c.Fed.SetShardDown(i, false)
+func (c *Cluster) HealReplica(i int) { c.setReplicaPartitioned(i, false) }
+
+// setReplicaPartitioned is the one fault that means something different
+// per deployment, so it names them; a monolith has nothing to partition.
+func (c *Cluster) setReplicaPartitioned(i int, cut bool) {
+	switch b := c.Brain.(type) {
+	case *brain.Ring:
+		b.SetPartitioned(i, cut)
+	case *brainfed.Federation:
+		if i >= 0 && i < b.Shards() {
+			b.SetShardDown(i, cut)
+		}
 	}
 }
 
 // Close stops timers.
 func (c *Cluster) Close() {
 	c.closed = true
-	if c.Fed != nil {
-		c.Fed.Close()
-	} else if len(c.Replicas) > 0 {
-		for _, rb := range c.Replicas {
-			rb.Close()
-		}
-	} else {
-		c.Brain.Close()
-	}
+	c.Brain.Close()
 	for _, n := range c.Nodes {
 		n.Close()
 	}

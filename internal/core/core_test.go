@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"livenet/internal/brain"
 	"livenet/internal/media"
 	"livenet/internal/workload"
 )
@@ -18,7 +19,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	c.Run(2 * time.Second)
 
 	// The producer registered the stream with the Brain.
-	if p, ok := c.Brain.Producer(bc.StreamID(0)); !ok || p != bc.Producer {
+	if p, ok := c.Brain.(*brain.Brain).Producer(bc.StreamID(0)); !ok || p != bc.Producer {
 		t.Fatalf("SIB producer = %d ok=%v, want %d", p, ok, bc.Producer)
 	}
 
@@ -57,7 +58,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Discovery populated the Brain's view (reports are per minute).
 	c.Run(60 * time.Second)
-	g := c.Brain.View()
+	g := c.Brain.(*brain.Brain).View()
 	if g.Link(0, 1) == nil {
 		t.Fatal("discovery never reported links")
 	}
@@ -339,9 +340,10 @@ func TestClusterSparseOverlay(t *testing.T) {
 	// below the 90-link full mesh.
 	c.Run(90 * time.Second)
 	links := 0
+	view := c.Brain.(*brain.Brain).View()
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
-			if i != j && c.Brain.View().Link(i, j) != nil {
+			if i != j && view.Link(i, j) != nil {
 				links++
 			}
 		}

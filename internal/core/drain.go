@@ -27,7 +27,7 @@ func (c *Cluster) DrainNode(id int) int {
 	}
 	c.draining[id] = true
 	c.drainsStarted.Inc()
-	c.setBrainDraining(id, true)
+	c.Brain.SetDraining(id, true)
 	c.Nodes[id].SetDraining(true)
 	scheduled := 0
 	for _, rs := range c.Nodes[id].CarriedStreams() {
@@ -68,7 +68,7 @@ func (c *Cluster) UndrainNode(id int) {
 	}
 	c.draining[id] = false
 	c.drainsCompleted.Inc()
-	c.setBrainDraining(id, false)
+	c.Brain.SetDraining(id, false)
 	if !c.crashed[id] {
 		c.Nodes[id].SetDraining(false)
 	}
@@ -87,34 +87,16 @@ func (c *Cluster) migrateOff(sid uint32, dst, avoid int) {
 	if c.closed || dst < 0 || dst >= len(c.Nodes) || c.crashed[dst] {
 		return
 	}
-	for _, p := range c.lookupPaths(sid, dst) {
+	// A synchronous control-plane lookup, no modeled replica RTT: the
+	// operator tooling talks to the Brain directly.
+	paths, _ := c.Brain.Lookup(sid, dst)
+	for _, p := range paths {
 		if pathContains(p, avoid) {
 			continue
 		}
 		c.Nodes[dst].Migrate(sid, p)
 		return
 	}
-}
-
-// lookupPaths serves a synchronous control-plane path lookup for the
-// drain orchestrator (no modeled replica RTT: the operator tooling
-// talks to the Brain directly).
-func (c *Cluster) lookupPaths(sid uint32, consumer int) [][]int {
-	if c.Fed != nil {
-		paths, _ := c.Fed.Lookup(sid, consumer)
-		return paths
-	}
-	if len(c.Replicas) > 0 {
-		for i, rb := range c.Replicas {
-			if !c.replicaDown[i] {
-				paths, _ := rb.Lookup(sid, consumer)
-				return paths
-			}
-		}
-		return nil
-	}
-	paths, _ := c.Brain.Lookup(sid, consumer)
-	return paths
 }
 
 func pathContains(p []int, id int) bool {
@@ -124,25 +106,6 @@ func pathContains(p []int, id int) bool {
 		}
 	}
 	return false
-}
-
-// setBrainDraining propagates the draining mark to every path-deciding
-// Brain instance (all shards of a federation, every live replica of a
-// Paxos group, or the monolith).
-func (c *Cluster) setBrainDraining(id int, v bool) {
-	if c.Fed != nil {
-		c.Fed.SetDraining(id, v)
-		return
-	}
-	if len(c.Replicas) > 0 {
-		for i, rb := range c.Replicas {
-			if !c.replicaDown[i] {
-				rb.Local.SetDraining(id, v)
-			}
-		}
-		return
-	}
-	c.Brain.SetDraining(id, v)
 }
 
 // RollingRestart schedules a drain → crash → restart → undrain cycle

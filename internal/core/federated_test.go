@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"livenet/internal/brainfed"
 	"livenet/internal/media"
 )
 
@@ -14,10 +15,11 @@ import (
 func TestClusterFederatedEndToEnd(t *testing.T) {
 	c := NewCluster(ClusterConfig{Seed: 1, Sites: 12, Regions: 3, MaxPeers: 4, Telemetry: true})
 	defer c.Close()
-	if c.Fed == nil {
-		t.Fatal("Regions > 0 did not build a federated Brain")
+	fed, ok := c.Brain.(*brainfed.Federation)
+	if !ok {
+		t.Fatalf("Regions > 0 built a %T, want a federated Brain", c.Brain)
 	}
-	if got := c.Fed.Shards(); got != 3 {
+	if got := fed.Shards(); got != 3 {
 		t.Fatalf("shards = %d, want 3", got)
 	}
 
@@ -25,7 +27,7 @@ func TestClusterFederatedEndToEnd(t *testing.T) {
 	bc.Start()
 	c.Run(2 * time.Second)
 
-	if p, ok := c.Fed.Producer(bc.StreamID(0)); !ok || p != bc.Producer {
+	if p, ok := fed.Producer(bc.StreamID(0)); !ok || p != bc.Producer {
 		t.Fatalf("federated SIB producer = %d ok=%v, want %d", p, ok, bc.Producer)
 	}
 
@@ -33,7 +35,7 @@ func TestClusterFederatedEndToEnd(t *testing.T) {
 	// producer, so the lookup exercises cross-shard stitching.
 	viewerLat, viewerLon := 52.0, -1.0 // GB
 	consumer := c.World.NearestSite(viewerLat, viewerLon)
-	if c.Fed.ShardOf(consumer) == c.Fed.ShardOf(bc.Producer) {
+	if fed.ShardOf(consumer) == fed.ShardOf(bc.Producer) {
 		t.Fatal("test setup: viewer maps into the producer's shard")
 	}
 	v := c.NewViewerAt(viewerLat, viewerLon, bc.StreamID(0))
@@ -50,7 +52,7 @@ func TestClusterFederatedEndToEnd(t *testing.T) {
 	// Discovery reports fan into the owning shards only; after a few
 	// rounds every shard has heard from its own nodes.
 	c.Run(2 * time.Minute)
-	fan := c.Fed.ReportFanIn()
+	fan := fed.ReportFanIn()
 	for s, n := range fan {
 		if n == 0 {
 			t.Fatalf("shard %d received no discovery reports", s)
@@ -72,8 +74,9 @@ func TestClusterFederatedShardPartitionFallback(t *testing.T) {
 
 	viewerLat, viewerLon := 52.0, -1.0 // GB: different shard from the producer
 	consumer := c.World.NearestSite(viewerLat, viewerLon)
-	srcShard := c.Fed.ShardOf(bc.Producer)
-	if c.Fed.ShardOf(consumer) == srcShard {
+	fed := c.Brain.(*brainfed.Federation)
+	srcShard := fed.ShardOf(bc.Producer)
+	if fed.ShardOf(consumer) == srcShard {
 		t.Fatal("test setup: viewer maps into the producer's shard")
 	}
 	v1 := c.NewViewerAt(viewerLat, viewerLon, bc.StreamID(0))

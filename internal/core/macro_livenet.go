@@ -12,23 +12,6 @@ import (
 	"livenet/internal/workload"
 )
 
-// macroBrain is the slice of the Streaming Brain surface the macro engine
-// drives. Both the monolithic *brain.Brain and the federated
-// *brainfed.Federation satisfy it, so MacroConfig.Regions switches the
-// control plane without touching the session machinery.
-type macroBrain interface {
-	RegisterStream(sid uint32, producer int)
-	ReportLink(from, to int, rtt time.Duration, loss, util float64)
-	ReportNodeLoad(id int, util float64)
-	OverloadAlarm(id int, util float64)
-	AdvanceEpoch()
-	Lookup(sid uint32, consumer int) ([][]int, error)
-	ReportNodeTelemetry(id int, snap telemetry.Snapshot, streams []uint32)
-	GlobalView() brain.GlobalView
-	Metrics() brain.Metrics
-	Close()
-}
-
 // lnStream is the per-(site, stream) session-level state: the macro
 // analogue of a node's Stream FIB entry plus its GoP cache indicator.
 type lnStream struct {
@@ -47,7 +30,7 @@ func lnKey(a, b int) int64 { return int64(a)<<32 | int64(uint32(b)) }
 // engines drive the same fabric — only how viewers attach differs.
 type lnFabric struct {
 	e  *macroEnv
-	br macroBrain
+	br brain.Service
 
 	adj      [][]int // sparse peer adjacency (nil = full mesh)
 	streams  []map[uint32]*lnStream
@@ -71,22 +54,15 @@ func newLNFabric(e *macroEnv) *lnFabric {
 	if cfg.KPaths > 0 {
 		bcfg.K = cfg.KPaths
 	}
-	// Sparse overlays skip the dense all-pairs solver: with per-node degree
-	// m the lazy per-pair KSP over the CSR view is already cheap, and the
-	// dense matrix would still cost O(N²) per epoch.
 	adj := peerAdjacency(e.world, cfg.MaxPeers)
-	var br macroBrain
+	var br brain.Service
 	if cfg.Regions > 0 {
 		br = brainfed.New(brainfed.Config{
 			Brain:     bcfg,
 			Partition: brainfed.ByRegion(e.world, cfg.Regions),
 		})
 	} else {
-		mono := brain.New(bcfg)
-		if adj == nil {
-			mono.EnableDense()
-		}
-		br = mono
+		br = brain.New(bcfg)
 	}
 
 	f := &lnFabric{

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"livenet/internal/brain"
 	"livenet/internal/chaos"
 	"livenet/internal/client"
 	"livenet/internal/core"
@@ -521,16 +522,19 @@ func QuorumPartition(seed int64) QuorumPartitionResult {
 		})
 	}
 
-	c.Loop.AfterFunc(9900*time.Millisecond, func() {
-		for _, rb := range c.Replicas {
-			res.CommittedDuring = append(res.CommittedDuring, rb.Replica().CommittedCount())
+	// The committed-log lengths are the ring's own detail, not part of the
+	// Brain service surface.
+	ring := c.Brain.(*brain.Ring)
+	committed := func() []int {
+		counts := make([]int, ring.Replicas())
+		for i := range counts {
+			counts[i] = ring.Replica(i).Replica().CommittedCount()
 		}
-	})
-	c.Run(16 * time.Second)
-
-	for _, rb := range c.Replicas {
-		res.CommittedAfter = append(res.CommittedAfter, rb.Replica().CommittedCount())
+		return counts
 	}
+	c.Loop.AfterFunc(9900*time.Millisecond, func() { res.CommittedDuring = committed() })
+	c.Run(16 * time.Second)
+	res.CommittedAfter = committed()
 	res.Converged = true
 	for _, n := range res.CommittedAfter {
 		if n != res.CommittedAfter[0] {

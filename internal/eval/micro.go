@@ -264,14 +264,17 @@ func AblationLinkWeights(seed int64) string {
 
 	paths, _ := br.Lookup(1, 2)
 	loaded := paths[0]
-	pureRTT := func(a, b int) float64 {
-		l := g.Link(a, b)
-		if l == nil {
-			return 1e18
+	// The ablated router: same topology, each edge weighs its RTT alone.
+	var rtts []float64
+	pureRTT := func(id int) ([]int, []float64) {
+		nbrs := g.Neighbors(id)
+		rtts = rtts[:0]
+		for _, nb := range nbrs {
+			rtts = append(rtts, float64(g.Link(id, nb).RTT)/float64(time.Millisecond))
 		}
-		return float64(l.RTT) / float64(time.Millisecond)
+		return nbrs, rtts
 	}
-	plain, _ := ksp.ShortestPath(n, 0, 2, g.Neighbors, pureRTT)
+	plain, _ := new(ksp.Arena).ShortestPath(n, 0, 2, pureRTT)
 
 	return fmt.Sprintf(`Ablation: Brain routing (Eq.2-3 weights + overload filter) vs pure-RTT (hot relay at 95%% util)
 pure-RTT path:    %v  effective delay %.0f ms

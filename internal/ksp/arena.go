@@ -26,7 +26,6 @@ package ksp
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // rhEntry is one pending (key, node) pair in the radix heap.
@@ -337,8 +336,13 @@ func (a *Arena) YenNW(n, src, dst, k int, nw NeighborWeightsFunc) []Path {
 	return a.yenFrom(n, src, dst, k, nw, nodes, a.dist[dst], nil)
 }
 
-// YenFromTree is YenNW with the first path read from a precomputed SSSP
-// tree (see the package-level YenFromTree for the contract).
+// YenFromTree is YenNW with the first (shortest) path read from a
+// precomputed SSSP tree instead of running a fresh Dijkstra. The tree
+// must have been built with SSSP(n, src, nw) against the same weights;
+// under that condition the output is identical to YenNW — the deviation
+// loop only depends on the first path, and the tree's path IS the
+// Dijkstra path. This lets the Brain pay one Dijkstra per producer per
+// epoch instead of one per (producer, consumer) pair.
 func (a *Arena) YenFromTree(n, src, dst, k int, nw NeighborWeightsFunc, t Tree) []Path {
 	return a.YenFromTreeH(n, src, dst, k, nw, t, nil)
 }
@@ -452,9 +456,3 @@ func reverseInts(s []int) {
 		s[i], s[j] = s[j], s[i]
 	}
 }
-
-// arenaPool backs the package-level convenience functions: callers that
-// do not manage worker-pinned arenas (tests, one-shot probes) still get
-// pooled scratch. Recycling order does not affect results — an Arena is
-// pure scratch.
-var arenaPool = sync.Pool{New: func() any { return new(Arena) }}

@@ -5,19 +5,13 @@
 //
 // The search core runs on reusable Arenas (see arena.go): generation-
 // stamped scratch arrays plus a monotone radix heap, so the steady state
-// of a routing epoch performs no allocations inside the search. The
-// package-level functions below draw scratch from a shared pool; batch
-// callers (the Brain's epoch recompute) pin one Arena per worker instead.
+// of a routing epoch performs no allocations inside the search. Every
+// search is an Arena method over a NeighborWeightsFunc; callers own their
+// arenas (the Brain pins one per recompute worker, a one-shot probe uses
+// a zero Arena).
 package ksp
 
 import "math"
-
-// WeightFunc returns the weight of the directed edge from→to; it must
-// return +Inf for edges that do not exist (or are masked out).
-type WeightFunc func(from, to int) float64
-
-// AdjFunc returns the out-neighbors of a node.
-type AdjFunc func(id int) []int
 
 // NeighborWeightsFunc returns a node's out-neighbors together with the
 // weight of each outgoing edge (w[i] is the weight to nbrs[i]). This is
@@ -26,23 +20,6 @@ type AdjFunc func(id int) []int
 // epoch, so the inner loop pays no per-edge map lookup. The returned
 // slices are only valid until the next call.
 type NeighborWeightsFunc func(id int) (nbrs []int, w []float64)
-
-// adaptNW bridges the classic (AdjFunc, WeightFunc) pair onto the
-// neighbor-weights core, reusing one scratch row across expansions.
-func adaptNW(adj AdjFunc, w WeightFunc) NeighborWeightsFunc {
-	var buf []float64
-	return func(id int) ([]int, []float64) {
-		nbrs := adj(id)
-		if cap(buf) < len(nbrs) {
-			buf = make([]float64, len(nbrs))
-		}
-		buf = buf[:len(nbrs)]
-		for i, nb := range nbrs {
-			buf[i] = w(id, nb)
-		}
-		return nbrs, buf
-	}
-}
 
 // Path is a node sequence (src first, dst last) with its total cost.
 type Path struct {
@@ -71,92 +48,16 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Dijkstra computes shortest distances and predecessors from src over n
-// nodes. Unreachable nodes have dist = +Inf and prev = -1.
-func Dijkstra(n, src int, adj AdjFunc, w WeightFunc) (dist []float64, prev []int) {
-	return DijkstraNW(n, src, adaptNW(adj, w))
-}
-
-// DijkstraNW is the Dijkstra core over the neighbor-weights expansion
-// interface. Unreachable nodes have dist = +Inf and prev = -1.
-func DijkstraNW(n, src int, nw NeighborWeightsFunc) (dist []float64, prev []int) {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	t := a.SSSP(n, src, nw)
-	return t.Dist, t.Prev
-}
-
 // Tree is a shortest-path tree rooted at Src: the result of one forward
-// Dijkstra sweep, from which the shortest path to every destination can
-// be read back without further search. The Brain caches one Tree per
-// producer per routing epoch and derives each consumer's first candidate
-// path from it, paying the Dijkstra once instead of once per (src,dst)
-// pair.
+// Dijkstra sweep, from which Arena.YenFromTree reads the shortest path
+// to any destination without further search. The Brain caches one Tree
+// per producer per routing epoch and derives each consumer's first
+// candidate path from it, paying the Dijkstra once instead of once per
+// (src,dst) pair.
 type Tree struct {
 	Src  int
 	Dist []float64
 	Prev []int
-}
-
-// SSSP computes the single-source shortest-path tree from src.
-func SSSP(n, src int, nw NeighborWeightsFunc) Tree {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return a.SSSP(n, src, nw)
-}
-
-// PathTo reads the shortest path Src→dst out of the tree.
-func (t Tree) PathTo(dst int) (Path, bool) {
-	if dst < 0 || dst >= len(t.Dist) || math.IsInf(t.Dist[dst], 1) {
-		return Path{}, false
-	}
-	nodes := make([]int, 0, 4)
-	for at := dst; at != -1; at = t.Prev[at] {
-		nodes = append(nodes, at)
-	}
-	reverseInts(nodes)
-	if nodes[0] != t.Src {
-		return Path{}, false
-	}
-	return Path{Nodes: nodes, Cost: t.Dist[dst]}, true
-}
-
-// ShortestPath returns the single shortest path src→dst.
-func ShortestPath(n, src, dst int, adj AdjFunc, w WeightFunc) (Path, bool) {
-	return ShortestPathNW(n, src, dst, adaptNW(adj, w))
-}
-
-// ShortestPathNW is ShortestPath over the neighbor-weights interface.
-func ShortestPathNW(n, src, dst int, nw NeighborWeightsFunc) (Path, bool) {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return a.ShortestPath(n, src, dst, nw)
-}
-
-// Yen returns up to k loopless shortest paths src→dst in nondecreasing
-// cost order (Yen's algorithm over a Dijkstra subroutine).
-func Yen(n, src, dst, k int, adj AdjFunc, w WeightFunc) []Path {
-	return YenNW(n, src, dst, k, adaptNW(adj, w))
-}
-
-// YenNW is Yen's algorithm over the neighbor-weights interface.
-func YenNW(n, src, dst, k int, nw NeighborWeightsFunc) []Path {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return a.YenNW(n, src, dst, k, nw)
-}
-
-// YenFromTree is YenNW with the first (shortest) path read from a
-// precomputed SSSP tree instead of running a fresh Dijkstra. The tree
-// must have been built with SSSP(n, src, nw) against the same weights;
-// under that condition the output is identical to YenNW — the deviation
-// loop only depends on the first path, and the tree's path IS the
-// Dijkstra path. This lets the Brain pay one Dijkstra per producer per
-// epoch instead of one per (producer, consumer) pair.
-func YenFromTree(n, src, dst, k int, nw NeighborWeightsFunc, t Tree) []Path {
-	a := arenaPool.Get().(*Arena)
-	defer arenaPool.Put(a)
-	return a.YenFromTree(n, src, dst, k, nw, t)
 }
 
 func equalPrefix(p, prefix []int) bool {

@@ -1,6 +1,7 @@
 package ksp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -8,20 +9,19 @@ import (
 	"livenet/internal/sim"
 )
 
-// gridWorld builds a small weighted digraph as adjacency+weight maps.
+// gridWorld builds a small weighted digraph in neighbor-weights form.
 type gridWorld struct {
-	n   int
-	adj map[int][]int
-	w   map[[2]int]float64
+	adj [][]int
+	ws  [][]float64
 }
 
 func newGrid(n int) *gridWorld {
-	return &gridWorld{n: n, adj: make(map[int][]int), w: make(map[[2]int]float64)}
+	return &gridWorld{adj: make([][]int, n), ws: make([][]float64, n)}
 }
 
 func (g *gridWorld) edge(a, b int, w float64) {
 	g.adj[a] = append(g.adj[a], b)
-	g.w[[2]int{a, b}] = w
+	g.ws[a] = append(g.ws[a], w)
 }
 
 func (g *gridWorld) biedge(a, b int, w float64) {
@@ -29,14 +29,7 @@ func (g *gridWorld) biedge(a, b int, w float64) {
 	g.edge(b, a, w)
 }
 
-func (g *gridWorld) adjFn(id int) []int { return g.adj[id] }
-
-func (g *gridWorld) wFn(a, b int) float64 {
-	if w, ok := g.w[[2]int{a, b}]; ok {
-		return w
-	}
-	return math.Inf(1)
-}
+func (g *gridWorld) nw(id int) ([]int, []float64) { return g.adj[id], g.ws[id] }
 
 func TestDijkstraSimple(t *testing.T) {
 	g := newGrid(4)
@@ -44,7 +37,8 @@ func TestDijkstraSimple(t *testing.T) {
 	g.edge(1, 2, 1)
 	g.edge(0, 2, 5)
 	g.edge(2, 3, 1)
-	dist, prev := Dijkstra(4, 0, g.adjFn, g.wFn)
+	tree := new(Arena).SSSP(4, 0, g.nw)
+	dist, prev := tree.Dist, tree.Prev
 	if dist[2] != 2 {
 		t.Fatalf("dist[2] = %v, want 2 (via node 1)", dist[2])
 	}
@@ -59,11 +53,12 @@ func TestDijkstraSimple(t *testing.T) {
 func TestDijkstraUnreachable(t *testing.T) {
 	g := newGrid(3)
 	g.edge(0, 1, 1)
-	dist, prev := Dijkstra(3, 0, g.adjFn, g.wFn)
+	tree := new(Arena).SSSP(3, 0, g.nw)
+	dist, prev := tree.Dist, tree.Prev
 	if !math.IsInf(dist[2], 1) || prev[2] != -1 {
 		t.Fatalf("node 2 should be unreachable: dist=%v prev=%v", dist[2], prev[2])
 	}
-	if _, ok := ShortestPath(3, 0, 2, g.adjFn, g.wFn); ok {
+	if _, ok := new(Arena).ShortestPath(3, 0, 2, g.nw); ok {
 		t.Fatal("ShortestPath to unreachable node should fail")
 	}
 }
@@ -72,7 +67,7 @@ func TestShortestPathEndpoints(t *testing.T) {
 	g := newGrid(4)
 	g.edge(0, 1, 1)
 	g.edge(1, 3, 1)
-	p, ok := ShortestPath(4, 0, 3, g.adjFn, g.wFn)
+	p, ok := new(Arena).ShortestPath(4, 0, 3, g.nw)
 	if !ok || p.Nodes[0] != 0 || p.Nodes[len(p.Nodes)-1] != 3 {
 		t.Fatalf("path = %+v ok=%v", p, ok)
 	}
@@ -94,7 +89,7 @@ func TestYenClassic(t *testing.T) {
 	g.edge(3, 4, 2)
 	g.edge(3, 5, 1)
 	g.edge(4, 5, 2)
-	paths := Yen(6, 0, 5, 3, g.adjFn, g.wFn)
+	paths := new(Arena).YenNW(6, 0, 5, 3, g.nw)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -118,7 +113,7 @@ func TestYenNondecreasing(t *testing.T) {
 				}
 			}
 		}
-		paths := Yen(n, 0, n-1, 4, g.adjFn, g.wFn)
+		paths := new(Arena).YenNW(n, 0, n-1, 4, g.nw)
 		prev := 0.0
 		for _, p := range paths {
 			if p.Cost < prev-1e-9 {
@@ -151,7 +146,7 @@ func TestYenDistinctPaths(t *testing.T) {
 	g.biedge(2, 4, 2)
 	g.biedge(0, 3, 3)
 	g.biedge(3, 4, 3)
-	paths := Yen(5, 0, 4, 3, g.adjFn, g.wFn)
+	paths := new(Arena).YenNW(5, 0, 4, 3, g.nw)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths, want 3", len(paths))
 	}
@@ -168,7 +163,7 @@ func TestYenFewerThanK(t *testing.T) {
 	g := newGrid(3)
 	g.edge(0, 1, 1)
 	g.edge(1, 2, 1)
-	paths := Yen(3, 0, 2, 5, g.adjFn, g.wFn)
+	paths := new(Arena).YenNW(3, 0, 2, 5, g.nw)
 	if len(paths) != 1 {
 		t.Fatalf("only one path exists, got %d", len(paths))
 	}
@@ -177,7 +172,7 @@ func TestYenFewerThanK(t *testing.T) {
 func TestYenSameSrcDst(t *testing.T) {
 	g := newGrid(2)
 	g.edge(0, 1, 1)
-	if paths := Yen(2, 0, 0, 3, g.adjFn, g.wFn); paths != nil {
+	if paths := new(Arena).YenNW(2, 0, 0, 3, g.nw); paths != nil {
 		t.Fatalf("src==dst should return nil, got %+v", paths)
 	}
 }
@@ -185,7 +180,7 @@ func TestYenSameSrcDst(t *testing.T) {
 func TestYenKZero(t *testing.T) {
 	g := newGrid(2)
 	g.edge(0, 1, 1)
-	if paths := Yen(2, 0, 1, 0, g.adjFn, g.wFn); paths != nil {
+	if paths := new(Arena).YenNW(2, 0, 1, 0, g.nw); paths != nil {
 		t.Fatal("k=0 should return nil")
 	}
 }
@@ -202,7 +197,7 @@ func TestYenOnFullMesh(t *testing.T) {
 			}
 		}
 	}
-	paths := Yen(n, 3, 17, 3, g.adjFn, g.wFn)
+	paths := new(Arena).YenNW(n, 3, 17, 3, g.nw)
 	if len(paths) != 3 {
 		t.Fatalf("full mesh should yield 3 paths, got %d", len(paths))
 	}
@@ -223,144 +218,181 @@ func TestPathEqual(t *testing.T) {
 	}
 }
 
-// randomNW builds a random weighted digraph and returns both the classic
-// (adj, w) pair and the neighbor-weights form backed by the same edges.
-func randomNW(n int, seed int64) (AdjFunc, WeightFunc, NeighborWeightsFunc) {
+// randomNW builds a random weighted digraph in neighbor-weights form.
+func randomNW(n int, seed int64) NeighborWeightsFunc {
 	rng := sim.NewSource(seed).Stream("kspnw")
-	adj := make([][]int, n)
-	w := make(map[[2]int]float64)
-	ws := make([][]float64, n)
+	g := newGrid(n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i != j && rng.Bernoulli(0.6) {
-				wt := 1 + rng.Float64()*99
-				adj[i] = append(adj[i], j)
-				ws[i] = append(ws[i], wt)
-				w[[2]int{i, j}] = wt
+				g.edge(i, j, 1+rng.Float64()*99)
 			}
 		}
 	}
-	adjF := func(id int) []int { return adj[id] }
-	wF := func(from, to int) float64 {
-		if wt, ok := w[[2]int{from, to}]; ok {
-			return wt
+	return g.nw
+}
+
+// refYen is the in-test reference the arena engine is pinned against:
+// textbook Yen over a quadratic array Dijkstra, sharing no code with the
+// Arena. Costs fold edge by edge in path order and ties resolve to the
+// earliest candidate, the two conventions the arena engine documents.
+func refYen(n, src, dst, k int, nw NeighborWeightsFunc) []Path {
+	weight := func(a, b int) float64 {
+		nbrs, ws := nw(a)
+		for i, nb := range nbrs {
+			if nb == b {
+				return ws[i]
+			}
 		}
 		return math.Inf(1)
 	}
-	nwF := func(id int) ([]int, []float64) { return adj[id], ws[id] }
-	return adjF, wF, nwF
-}
-
-func TestDijkstraNWMatchesClassic(t *testing.T) {
-	const n = 24
-	for seed := int64(1); seed <= 5; seed++ {
-		adj, w, nw := randomNW(n, seed)
-		for src := 0; src < n; src += 7 {
-			d1, p1 := Dijkstra(n, src, adj, w)
-			d2, p2 := DijkstraNW(n, src, nw)
+	cost := func(nodes []int) float64 {
+		var c float64
+		for i := 0; i+1 < len(nodes); i++ {
+			c += weight(nodes[i], nodes[i+1])
+		}
+		return c
+	}
+	// shortest runs Dijkstra from→dst avoiding banned nodes and the
+	// banned out-edges of from.
+	shortest := func(from int, bannedNode map[int]bool, bannedNext map[int]bool) []int {
+		dist := make([]float64, n)
+		prev := make([]int, n)
+		done := make([]bool, n)
+		for i := range dist {
+			dist[i], prev[i] = math.Inf(1), -1
+		}
+		dist[from] = 0
+		for {
+			u := -1
 			for i := 0; i < n; i++ {
-				if d1[i] != d2[i] || p1[i] != p2[i] {
-					t.Fatalf("seed %d src %d node %d: classic (%v,%d) vs NW (%v,%d)",
-						seed, src, i, d1[i], p1[i], d2[i], p2[i])
+				if !done[i] && !math.IsInf(dist[i], 1) && (u < 0 || dist[i] < dist[u]) {
+					u = i
+				}
+			}
+			if u < 0 || u == dst {
+				break
+			}
+			done[u] = true
+			nbrs, ws := nw(u)
+			for i, v := range nbrs {
+				if bannedNode[v] || (u == from && bannedNext[v]) {
+					continue
+				}
+				if d := dist[u] + ws[i]; d < dist[v] {
+					dist[v], prev[v] = d, u
 				}
 			}
 		}
+		if math.IsInf(dist[dst], 1) {
+			return nil
+		}
+		var nodes []int
+		for at := dst; at != -1; at = prev[at] {
+			nodes = append(nodes, at)
+		}
+		reverseInts(nodes)
+		return nodes
 	}
-}
-
-func TestYenNWMatchesClassic(t *testing.T) {
-	const n = 16
-	for seed := int64(1); seed <= 5; seed++ {
-		adj, w, nw := randomNW(n, seed)
-		for _, pair := range [][2]int{{0, 5}, {3, 12}, {7, 1}} {
-			a := Yen(n, pair[0], pair[1], 4, adj, w)
-			b := YenNW(n, pair[0], pair[1], 4, nw)
-			if len(a) != len(b) {
-				t.Fatalf("seed %d %v: %d vs %d paths", seed, pair, len(a), len(b))
-			}
-			for i := range a {
-				if !a[i].Equal(b[i]) || a[i].Cost != b[i].Cost {
-					t.Fatalf("seed %d %v path %d: %+v vs %+v", seed, pair, i, a[i], b[i])
+	if k <= 0 || src == dst {
+		return nil
+	}
+	first := shortest(src, nil, nil)
+	if first == nil {
+		return nil
+	}
+	paths := []Path{{Nodes: first, Cost: cost(first)}}
+	var cand []Path
+	for len(paths) < k {
+		last := paths[len(paths)-1].Nodes
+		for i := 0; i+1 < len(last); i++ {
+			root := last[:i+1]
+			bannedNext := map[int]bool{}
+			for _, p := range paths {
+				if len(p.Nodes) > i && equalPrefix(p.Nodes, root) {
+					bannedNext[p.Nodes[i+1]] = true
 				}
 			}
+			bannedNode := map[int]bool{}
+			for _, rn := range root[:i] {
+				bannedNode[rn] = true
+			}
+			spur := shortest(last[i], bannedNode, bannedNext)
+			if spur == nil {
+				continue
+			}
+			total := append(append([]int{}, root[:i]...), spur...)
+			c := Path{Nodes: total, Cost: cost(total)}
+			if !containsPath(paths, c) && !containsPath(cand, c) {
+				cand = append(cand, c)
+			}
+		}
+		if len(cand) == 0 {
+			break
+		}
+		best := 0
+		for j := range cand {
+			if cand[j].Cost < cand[best].Cost {
+				best = j
+			}
+		}
+		paths = append(paths, cand[best])
+		cand = append(cand[:best], cand[best+1:]...)
+	}
+	return paths
+}
+
+func samePaths(t *testing.T, what string, want, got []Path) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d vs %d paths", what, len(want), len(got))
+	}
+	for i := range want {
+		if !want[i].Equal(got[i]) || want[i].Cost != got[i].Cost {
+			t.Fatalf("%s path %d: %+v vs %+v", what, i, want[i], got[i])
 		}
 	}
 }
 
 func TestYenFromTreeMatchesYenNW(t *testing.T) {
 	const n = 16
+	var a Arena
 	for seed := int64(1); seed <= 5; seed++ {
-		_, _, nw := randomNW(n, seed)
+		nw := randomNW(n, seed)
 		for src := 0; src < n; src += 3 {
-			tree := SSSP(n, src, nw)
+			tree := a.SSSP(n, src, nw)
 			for dst := 0; dst < n; dst++ {
 				if dst == src {
 					continue
 				}
-				a := YenNW(n, src, dst, 4, nw)
-				b := YenFromTree(n, src, dst, 4, nw, tree)
-				if len(a) != len(b) {
-					t.Fatalf("seed %d %d→%d: %d vs %d paths", seed, src, dst, len(a), len(b))
-				}
-				for i := range a {
-					if !a[i].Equal(b[i]) || a[i].Cost != b[i].Cost {
-						t.Fatalf("seed %d %d→%d path %d: %+v vs %+v", seed, src, dst, i, a[i], b[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestTreePathToMatchesShortestPath(t *testing.T) {
-	const n = 24
-	for seed := int64(1); seed <= 3; seed++ {
-		_, _, nw := randomNW(n, seed)
-		for src := 0; src < n; src += 5 {
-			tree := SSSP(n, src, nw)
-			for dst := 0; dst < n; dst++ {
-				if dst == src {
-					continue
-				}
-				a, okA := ShortestPathNW(n, src, dst, nw)
-				b, okB := tree.PathTo(dst)
-				if okA != okB {
-					t.Fatalf("seed %d %d→%d: ok %v vs %v", seed, src, dst, okA, okB)
-				}
-				if okA && (!a.Equal(b) || a.Cost != b.Cost) {
-					t.Fatalf("seed %d %d→%d: %+v vs %+v", seed, src, dst, a, b)
-				}
+				want := a.YenNW(n, src, dst, 4, nw)
+				samePaths(t, fmt.Sprintf("seed %d %d→%d", seed, src, dst), want, a.YenFromTree(n, src, dst, 4, nw, tree))
 			}
 		}
 	}
 }
 
 // TestFreshArenaYenFromTree is the regression pin for the grow/maskGen
-// interaction: a brand-new (never-grown) Arena must produce the same
-// YenFromTree answer as the pooled package path. The original bug
-// stamped the spur mask before the first search grew the scratch
-// arrays; grow() then reset the mask generation, every spur node read
-// as masked, and all deviation paths silently vanished.
+// interaction: a brand-new (never-grown) Arena must produce the
+// reference Yen answer, and so must a warm one. The original bug stamped
+// the spur mask before the first search grew the scratch arrays; grow()
+// then reset the mask generation, every spur node read as masked, and
+// all deviation paths silently vanished.
 func TestFreshArenaYenFromTree(t *testing.T) {
 	const n = 16
+	var warm Arena
 	for seed := int64(1); seed <= 5; seed++ {
-		_, _, nw := randomNW(n, seed)
+		nw := randomNW(n, seed)
 		for src := 0; src < n; src += 3 {
-			tree := SSSP(n, src, nw)
+			tree := warm.SSSP(n, src, nw)
 			for dst := 0; dst < n; dst += 2 {
 				if dst == src {
 					continue
 				}
-				want := YenNW(n, src, dst, 4, nw)
-				got := new(Arena).YenFromTree(n, src, dst, 4, nw, tree)
-				if len(want) != len(got) {
-					t.Fatalf("seed %d %d→%d: %d vs %d paths", seed, src, dst, len(want), len(got))
-				}
-				for i := range want {
-					if !want[i].Equal(got[i]) || want[i].Cost != got[i].Cost {
-						t.Fatalf("seed %d %d→%d path %d: %+v vs %+v", seed, src, dst, i, want[i], got[i])
-					}
-				}
+				what := fmt.Sprintf("seed %d %d→%d", seed, src, dst)
+				want := refYen(n, src, dst, 4, nw)
+				samePaths(t, what+" fresh", want, new(Arena).YenFromTree(n, src, dst, 4, nw, tree))
+				samePaths(t, what+" warm", want, warm.YenNW(n, src, dst, 4, nw))
 			}
 		}
 	}

@@ -404,8 +404,8 @@ func GraphNeighborWeights(b *testing.B) {
 	}
 }
 
-// YenKSPFullMesh measures Yen's k=3 KSP on a 48-site full mesh through
-// the classic (AdjFunc, WeightFunc) adapter.
+// YenKSPFullMesh measures Yen's k=3 KSP on a 48-site full mesh: one
+// reused Arena over the graph's cached weight rows.
 func YenKSPFullMesh(b *testing.B) {
 	const n = 48
 	g := graph.New(n)
@@ -417,10 +417,11 @@ func YenKSPFullMesh(b *testing.B) {
 			}
 		}
 	}
+	var arena ksp.Arena
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ksp.Yen(n, i%n, (i+7)%n, 3, g.Neighbors, g.Weight)
+		arena.YenNW(n, i%n, (i+7)%n, 3, g.NeighborWeights)
 	}
 }
 

@@ -365,26 +365,21 @@ func (e *Endpoint) Close() error {
 	return err
 }
 
-// BrainAPI is the slice of the Streaming Brain the UDP RPC surface
-// needs. Both the monolithic *brain.Brain and the federated
-// *brainfed.Federation satisfy it, so livenet-brain can serve either
-// behind the same wire protocol.
-type BrainAPI interface {
-	Lookup(sid uint32, consumer int) ([][]int, error)
-	RegisterStream(sid uint32, producer int)
-	ReportLink(from, to int, rtt time.Duration, loss, util float64)
-	ReportNodeLoad(id int, util float64)
-	// SetDraining/Draining expose the planned-decommission admin surface:
-	// a draining relay is excluded from future path decisions.
-	SetDraining(id int, v bool)
-	Draining(id int) bool
-}
+// BrainAPI is the Streaming Brain the UDP RPC surface serves: any
+// brain.Service, so livenet-brain puts a monolith, a replicated ring or
+// a federation behind the same wire protocol.
+type BrainAPI = brain.Service
 
 // BrainServer exposes a Streaming Brain over UDP: it answers PathRequest
 // RPCs, accepts stream registrations and Global Discovery reports.
 type BrainServer struct {
 	Brain BrainAPI
 	ep    *Endpoint
+	// nodes is the fleet size N: a node ID read off the wire must lie in
+	// [0, N) before it reaches the Brain, which indexes its view and
+	// partition tables with it unchecked.
+	nodes     int
+	badNodeID *telemetry.Counter
 }
 
 // BrainID is the well-known overlay ID of the Brain endpoint.
@@ -400,7 +395,12 @@ func NewBrainServer(b BrainAPI, addr string) (*BrainServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &BrainServer{Brain: b, ep: ep}
+	s := &BrainServer{
+		Brain:     b,
+		ep:        ep,
+		nodes:     b.GlobalView().Nodes,
+		badNodeID: ep.opts.Telemetry.Counter("udprun.brain_bad_node_id"),
+	}
 	ep.Serve(s.onMessage)
 	return s, nil
 }
@@ -411,11 +411,28 @@ func (s *BrainServer) Addr() string { return s.ep.Addr() }
 // Close shuts the server down.
 func (s *BrainServer) Close() error { return s.ep.Close() }
 
+// BadNodeIDs counts the datagrams dropped for naming a node outside
+// [0, N) (udprun.brain_bad_node_id).
+func (s *BrainServer) BadNodeIDs() uint64 { return s.badNodeID.Load() }
+
+// validNodes is the one range check every node ID from the network passes
+// before the Brain sees it; a datagram with any ID out of range is
+// dropped and counted.
+func (s *BrainServer) validNodes(ids ...uint16) bool {
+	for _, id := range ids {
+		if int(id) >= s.nodes {
+			s.badNodeID.Inc()
+			return false
+		}
+	}
+	return true
+}
+
 func (s *BrainServer) onMessage(from int, data []byte) {
 	switch wire.Kind(data) {
 	case wire.MsgPathRequest:
 		var req wire.PathRequest
-		if err := req.Unmarshal(data); err != nil {
+		if err := req.Unmarshal(data); err != nil || !s.validNodes(req.Consumer) {
 			return
 		}
 		paths, err := s.Brain.Lookup(req.StreamID, int(req.Consumer))
@@ -430,13 +447,13 @@ func (s *BrainServer) onMessage(from int, data []byte) {
 		s.ep.Send(BrainID, from, resp.Marshal(nil))
 	case wire.MsgRegisterStream:
 		var reg wire.RegisterStream
-		if err := reg.Unmarshal(data); err != nil {
+		if err := reg.Unmarshal(data); err != nil || !s.validNodes(reg.Producer) {
 			return
 		}
 		s.Brain.RegisterStream(reg.StreamID, int(reg.Producer))
 	case wire.MsgNodeReport:
 		var rep wire.NodeReport
-		if err := rep.Unmarshal(data); err != nil {
+		if err := rep.Unmarshal(data); err != nil || !s.validNodes(rep.From, rep.To) {
 			return
 		}
 		s.Brain.ReportLink(int(rep.From), int(rep.To),
@@ -446,7 +463,7 @@ func (s *BrainServer) onMessage(from int, data []byte) {
 		// Operator admin: mark a relay (un)draining for path decisions and
 		// ack with the resulting state so tooling can confirm the change.
 		var dn wire.DrainNode
-		if err := dn.Unmarshal(data); err != nil {
+		if err := dn.Unmarshal(data); err != nil || !s.validNodes(dn.Node) {
 			return
 		}
 		s.Brain.SetDraining(int(dn.Node), dn.Drain)

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"livenet/internal/brain"
+	"livenet/internal/brainfed"
 	"livenet/internal/client"
 	"livenet/internal/media"
 	"livenet/internal/node"
@@ -339,5 +340,83 @@ func TestBrainDrainRPC(t *testing.T) {
 	}
 	if b.Draining(2) {
 		t.Fatal("brain did not readmit node 2")
+	}
+}
+
+// TestBrainServerRejectsHostileNodeIDs sends the server one datagram of
+// every kind that carries a node ID, each naming a node far outside
+// [0, N). Unchecked, those IDs index the Brain's view (a monolith) or the
+// partition table (a federation) and panic the process; the server must
+// drop and count them, and keep serving.
+func TestBrainServerRejectsHostileNodeIDs(t *testing.T) {
+	const n, hostile = 8, 60000
+	services := map[string]brain.Service{
+		"monolith":   brain.New(brain.Config{N: n}),
+		"federation": brainfed.New(brainfed.Config{Brain: brain.Config{N: n}, Partition: brainfed.Contiguous(n, 2, nil)}),
+	}
+	for name, svc := range services {
+		t.Run(name, func(t *testing.T) {
+			defer svc.Close()
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					if i != j {
+						svc.ReportLink(i, j, 10*time.Millisecond, 0, 0.1)
+					}
+				}
+			}
+			svc.RegisterStream(77, 0)
+			srv, err := NewBrainServer(svc, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ep, err := Listen(2, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ep.Close()
+			cli, err := NewBrainClient(ep, srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ep.Serve(cli.WrapHandler(func(int, []byte) {}))
+
+			datagrams := [][]byte{
+				(&wire.NodeReport{From: hostile, To: 1}).Marshal(nil),
+				(&wire.NodeReport{From: 1, To: hostile}).Marshal(nil),
+				(&wire.PathRequest{StreamID: 77, Consumer: hostile, Token: 1}).Marshal(nil),
+				(&wire.RegisterStream{StreamID: 78, Producer: hostile}).Marshal(nil),
+				(&wire.DrainNode{Node: hostile, Drain: true}).Marshal(nil),
+			}
+			for _, d := range datagrams {
+				if err := ep.Send(2, BrainID, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// The server handles one socket's datagrams in order: an answer
+			// to this lookup means the hostile ones were all seen first.
+			done := make(chan [][]int, 1)
+			cli.Lookup(77, 5, func(paths [][]int, err error) {
+				if err != nil {
+					t.Errorf("lookup after hostile input: %v", err)
+				}
+				done <- paths
+			})
+			select {
+			case paths := <-done:
+				if len(paths) == 0 || paths[0][0] != 0 || paths[0][len(paths[0])-1] != 5 {
+					t.Fatalf("paths = %v", paths)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("lookup after hostile input timed out")
+			}
+			if got := srv.BadNodeIDs(); got != uint64(len(datagrams)) {
+				t.Fatalf("BadNodeIDs = %d, want %d", got, len(datagrams))
+			}
+			if svc.Draining(n - 1) {
+				t.Fatal("unrelated state changed")
+			}
+		})
 	}
 }
