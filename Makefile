@@ -1,14 +1,15 @@
 # LiveNet reproduction — build/test/bench entry points.
 #
 #   make ci         # what a PR must pass: vet + build + race-enabled tests + chaos smoke + docs gate
+#   make race-brain # Brain/federation/graph under -race -count=3: routing rounds run beside lookups (part of make ci)
 #   make test       # plain test run (fastest)
 #   make bench      # allocation + throughput benchmark smoke (short benchtime)
 #   make bench-smoke # routing/perf suite, one iteration each (part of make ci)
 #   make bench-routing # cold/warm routing-epoch suite incl. the N=2000 point, one iteration each
 #   make bench-shard # federated-Brain epoch benchmarks, one iteration each
-#   make bench-check # hot-path alloc regression guard vs BENCH_9.json (part of make ci)
+#   make bench-check # hot-path alloc regression guard vs BENCH_10.json (part of make ci)
 #   make bench-build # vet, gofmt and -short tests of the frozen bench/ module (part of make ci)
-#   make bench-json # perfbench suite -> BENCH_9.json snapshot (minutes)
+#   make bench-json # perfbench suite -> BENCH_10.json snapshot (minutes)
 #   make quick      # scaled-down end-to-end evaluation report
 #   make macro-1m   # cohort-engine scale smoke: quarter-million-viewer macro pair
 #   make chaos      # fault-tolerance evaluation (deterministic fault injection)
@@ -18,11 +19,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-dataplane bench bench-smoke bench-routing bench-shard bench-check bench-build bench-json quick macro-1m chaos chaos-migrate telemetry docs
+.PHONY: all ci vet build test race race-dataplane race-brain bench bench-smoke bench-routing bench-shard bench-check bench-build bench-json quick macro-1m chaos chaos-migrate telemetry docs
 
 all: ci
 
-ci: vet build race race-dataplane chaos chaos-migrate docs bench-smoke bench-check bench-build macro-1m
+ci: vet build race race-dataplane race-brain chaos chaos-migrate docs bench-smoke bench-check bench-build macro-1m
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +45,13 @@ race:
 # out scratch-slice reuse across runs.
 race-dataplane:
 	$(GO) test -race -count=2 ./internal/node/... ./internal/udprun/...
+
+# Control-plane race gate: a routing round plans beside the lookups,
+# reports, alarms and drains the Brain keeps serving (TestRoundsBesideServing
+# and the ≡-pins); one pass of the whole tree is too thin a net for the
+# interleavings, so these three packages run three times.
+race-brain:
+	$(GO) test -race -count=3 ./internal/brain/... ./internal/brainfed/... ./internal/graph/...
 
 # Benchmark smoke: the allocation-diet trio, the transport
 # micro-benchmarks, and the telemetry zero-overhead proof (forward path
@@ -70,16 +78,16 @@ bench-shard:
 	$(GO) test -run xxx -bench 'BenchmarkBrainFederatedEpoch|BenchmarkBrainFederatedChurn' -benchtime 1x .
 
 # Perfbench snapshot: run the suite at full benchtime through
-# cmd/livenet-bench and write BENCH_9.json for cross-PR comparison.
+# cmd/livenet-bench and write BENCH_10.json for cross-PR comparison.
 bench-json:
-	$(GO) run ./cmd/livenet-bench -bench-json BENCH_9.json
+	$(GO) run ./cmd/livenet-bench -bench-json BENCH_10.json
 
 # Hot-path alloc regression guard: re-run the allocation-diet benchmarks
-# and fail if any exceeds its committed BENCH_9.json allocs/op by >10%
+# and fail if any exceeds its committed BENCH_10.json allocs/op by >10%
 # (zero-alloc paths must stay at zero). ns/op is not gated — timing is
 # machine-dependent; allocation counts are deterministic.
 bench-check:
-	$(GO) run ./cmd/livenet-bench -bench-check BENCH_9.json
+	$(GO) run ./cmd/livenet-bench -bench-check BENCH_10.json
 
 # The repo benchmark (BENCHMARK.json) is its own Go module under bench/
 # that compiles against exported internal/ names; `go build ./...` and

@@ -336,6 +336,10 @@ func BenchmarkMacroCohort1M(b *testing.B)     { perfbench.MacroCohort1M(b) }
 func BenchmarkBrainPaperScale(b *testing.B) { perfbench.BrainPaperScale(b) }
 func BenchmarkBrainEpochChurn(b *testing.B) { perfbench.BrainEpochChurn(b) }
 
+// BenchmarkBrainLookupUnderEpoch is the serving path during that round:
+// direct Lookup calls while AdvanceEpoch runs on another goroutine.
+func BenchmarkBrainLookupUnderEpoch(b *testing.B) { perfbench.BrainLookupUnderEpoch(b) }
+
 // BenchmarkBrainPaperScale2000 stretches the from-scratch epoch to
 // N=2000 sites — the scale point the worker-arena engine added (the
 // allocation-heavy engine before it did not complete a 2000-site round

@@ -200,6 +200,18 @@ type Brain struct {
 	// they never affect outputs — just allocation counts.
 	arenas []*ksp.Arena
 
+	// roundMu serialises routing rounds (AdvanceEpoch) among themselves
+	// and guards epochRound, the round they reuse: its arenas are the
+	// scratch the plan step runs on while lookups run on arenas under mu.
+	// Lock order: roundMu, then mu. lockedRound is the at-once paths'
+	// counterpart, under mu, on the serving arenas.
+	roundMu     sync.Mutex
+	epochRound  round
+	lockedRound round
+	// planHook is a test seam: a round calls it between freeze and plan,
+	// holding roundMu but not mu. Nil outside tests.
+	planHook func()
+
 	// Dirty sets for incremental invalidation: elements whose metrics
 	// changed since the last routing round, with the graph version at
 	// which they last changed (entries computed later already saw it).
@@ -356,10 +368,46 @@ func (b *Brain) Metrics() Metrics {
 // invalidated (and recomputed lazily or by RecomputeAll); entries the
 // changes provably cannot touch are kept. With no accumulated changes the
 // advance is a no-op.
+//
+// The round takes the serving lock twice, for a freeze and an apply that
+// do not grow with the work in between (DESIGN.md §8 "What the serving
+// lock covers"): lookups and reports are served while it plans. Rounds
+// serialise among themselves — the epoch timer against an explicit call —
+// and Close ends them: a round that finds the Brain closed does nothing.
 func (b *Brain) AdvanceEpoch() {
+	b.roundMu.Lock()
+	defer b.roundMu.Unlock()
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.applyDirtLocked()
+	// A call with nothing to work on is not a round: it reads no clock and
+	// records nothing (BrainLookup runs one per lookup).
+	if b.closed || (len(b.dirtyLinks) == 0 && len(b.dirtyNodes) == 0) {
+		b.mu.Unlock()
+		return
+	}
+	start := time.Now()
+	r := &b.epochRound
+	planned := b.freezeLocked(r)
+	locked := time.Since(start)
+	b.mu.Unlock()
+	if planned {
+		if b.planHook != nil {
+			b.planHook()
+		}
+		for len(r.arenas) < b.cfg.Recompute.PoolSize() {
+			r.arenas = append(r.arenas, new(ksp.Arena))
+		}
+		stale := b.plan(r)
+		b.mu.Lock()
+		relock := time.Now()
+		if !b.closed {
+			b.applyLocked(r, stale)
+		}
+		locked += time.Since(relock)
+		b.mu.Unlock()
+	}
+	r.release()
+	b.tel.epochUs.Observe(time.Since(start).Microseconds())
+	b.tel.epochLockedUs.Observe(locked.Microseconds())
 }
 
 // InvalidateAll unconditionally drops every cached path product — the
@@ -368,8 +416,7 @@ func (b *Brain) InvalidateAll() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.invalidatePIBLocked()
-	clear(b.dirtyLinks)
-	clear(b.dirtyNodes)
+	b.clearDirtLocked()
 }
 
 func (b *Brain) invalidatePIBLocked() {
@@ -396,46 +443,54 @@ func (b *Brain) markNodeDirtyLocked(id int) {
 	b.dirtyNodes[id] = b.view.Version()
 }
 
-// probe is one dirty element prepared for the bound test: shortest
-// distances from every source to the element and from the element to
-// every destination, on the current graph. For a dirty link, w is its
-// current weight and the arrays meet at its endpoints; for a dirty node
-// the arrays meet at the node itself and w is 0.
-type probe struct {
-	ver   uint64
-	w     float64
-	toS   []float64 // toS[s] = dist(s → element entry)
-	fromD []float64 // fromD[d] = dist(element exit → d)
+// round is one incremental routing round between its freeze and its
+// apply: the dirt it took ownership of, the PIB entries it examines, the
+// weights it judges them on and the scratch its sweeps run on. Nothing but
+// the scratch is written after the freeze, so the plan step works on it
+// without the serving lock. A round value is reusable: the next freeze
+// into it overwrites the listing and the view in place, so that the freeze
+// — the step lookups wait for — allocates nothing large (a 3 MB allocation
+// can be made to assist the garbage collector for milliseconds).
+type round struct {
+	links   map[pairKey]uint64
+	nodes   map[int]uint64
+	entries []pibRef
+	view    *graph.Frozen
+	arenas  []*ksp.Arena
 }
 
-// applyDirtLocked is the incremental Global Routing round: it decides,
-// per PIB entry, whether the accumulated dirty links/nodes could change
-// the entry's KSP result, and drops exactly those entries. An entry is
-// dropped when (a) one of its raw paths traverses a dirty element — its
-// cached costs are stale — or (b) the cheapest possible path through a
-// dirty element undercuts the entry's k-th cost — a new candidate could
-// enter its top-k. Entries failing both tests recompute to themselves,
-// so keeping them serves identical paths (the property test asserts
-// this). When the dirty set is a large fraction of the graph, per-entry
-// checks cost more than recomputing, so the whole PIB is dropped.
-func (b *Brain) applyDirtLocked() {
-	nl, nn := len(b.dirtyLinks), len(b.dirtyNodes)
-	if nl == 0 && nn == 0 {
-		return
+// pibRef is one PIB entry as the freeze step found it. The plan step
+// reads only what newEntry wrote (version, raw, kth); the decision memo
+// in the same struct belongs to lookups, under the lock.
+type pibRef struct {
+	key pairKey
+	e   *pibEntry
+}
+
+// freezeLocked is the first step of a routing round: it decides whether
+// the accumulated dirty links/nodes call for per-entry work at all and,
+// if so, hands the round everything it will read. The dirt every entry
+// already saw (recorded at or before the oldest entry's compute version)
+// is pruned first, so a round after a quiet window is a no-op rather than
+// a full drop; when the dirty set is a large fraction of the graph,
+// per-entry checks cost more than recomputing, so the whole PIB is
+// dropped here and now. Both outcomes report false: there is nothing to
+// plan. Otherwise the Brain starts fresh dirty sets — a report that lands
+// while the round plans is the next round's business — and r gets the old
+// ones, the (key, entry) listing and a frozen weights view.
+func (b *Brain) freezeLocked(r *round) bool {
+	if len(b.dirtyLinks) == 0 && len(b.dirtyNodes) == 0 {
+		return false
 	}
-	defer func() {
-		clear(b.dirtyLinks)
-		clear(b.dirtyNodes)
-	}()
 	if len(b.pib) == 0 {
 		clear(b.trees) // stale trees are version-guarded, but free them
-		return
+		b.clearDirtLocked()
+		return false
 	}
-	// Changes every surviving entry already saw (recorded at or before the
-	// oldest entry's compute version) cannot affect anything: prune them so
-	// a round after a quiet window is a no-op rather than a full drop.
+	r.entries = r.entries[:0]
 	minVer := ^uint64(0)
-	for _, e := range b.pib {
+	for k, e := range b.pib {
+		r.entries = append(r.entries, pibRef{k, e})
 		if e.version < minVer {
 			minVer = e.version
 		}
@@ -450,44 +505,93 @@ func (b *Brain) applyDirtLocked() {
 			delete(b.dirtyNodes, id)
 		}
 	}
-	nl, nn = len(b.dirtyLinks), len(b.dirtyNodes)
+	nl, nn := len(b.dirtyLinks), len(b.dirtyNodes)
 	if nl == 0 && nn == 0 {
-		return
+		return false
 	}
 	if nl*invalidateDenom > b.view.Edges() || nn*invalidateDenom > b.cfg.N {
 		b.tel.invalidateFull.Inc()
 		b.invalidatePIBLocked()
-		return
+		b.clearDirtLocked()
+		return false
 	}
 	b.tel.invalidateIncremental.Inc()
-	probes := b.buildProbesLocked()
-	dropped := uint64(0)
-	for k, e := range b.pib {
-		if b.entryStaleLocked(k, e, probes) {
-			delete(b.pib, k)
-			dropped++
-		}
-	}
-	b.tel.pibInvalidated.Add(dropped)
+	r.links, r.nodes = b.dirtyLinks, b.dirtyNodes
+	b.dirtyLinks = make(map[pairKey]uint64)
+	b.dirtyNodes = make(map[int]uint64)
+	r.view = b.view.Freeze(r.view)
+	return true
 }
 
-// buildProbesLocked runs the per-dirty-element Dijkstra sweeps (forward
-// from the element over the CSR, and backward to it over the reverse
-// CSR). Sweeps are deduplicated by root — dirty links sharing an endpoint
-// share the distance arrays — and fan out across the runner pool; probe
-// outcomes are order-independent (entryStaleLocked ORs over them), so the
-// parallel schedule changes nothing.
-func (b *Brain) buildProbesLocked() []probe {
-	n := b.cfg.N
+func (b *Brain) clearDirtLocked() {
+	clear(b.dirtyLinks)
+	clear(b.dirtyNodes)
+}
+
+// probe is one dirty element prepared for the bound test: shortest
+// distances from every source to the element and from the element to
+// every destination, on the round's weights. For a dirty link, w is its
+// weight and the arrays meet at its endpoints; for a dirty node the
+// arrays meet at the node itself and w is 0.
+type probe struct {
+	ver   uint64
+	w     float64
+	toS   []float64 // toS[s] = dist(s → element entry)
+	fromD []float64 // fromD[d] = dist(element exit → d)
+}
+
+// plan is the invalidation algorithm, the middle step of a round: it
+// decides, per listed PIB entry, whether the round's dirty links/nodes
+// could change the entry's KSP result, and returns the indices of exactly
+// those entries. An entry is stale when (a) one of its raw paths
+// traverses a dirty element — its cached costs are stale — or (b) the
+// cheapest possible path through a dirty element undercuts the entry's
+// k-th cost — a new candidate could enter its top-k. Entries failing both
+// tests recompute to themselves, so keeping them serves identical paths
+// (the property test asserts this).
+//
+// plan reads the round and the immutable config, and nothing else of the
+// Brain: AdvanceEpoch runs it with the serving lock released, the at-once
+// paths with the lock held.
+func (b *Brain) plan(r *round) []int {
+	probes := b.buildProbes(r)
+	var stale []int
+	for i, ref := range r.entries {
+		if r.entryStale(ref, probes) {
+			stale = append(stale, i)
+		}
+	}
+	return stale
+}
+
+// planWorkers is the plan step's fan-out: one worker fewer than the pool,
+// never fewer than one. Go polls the network only from an idle P or from
+// sysmon's 10 ms tick, so a fan-out that occupies every P for a round's
+// length delays every datagram arriving meanwhile by about the lookup
+// latency limit itself (DESIGN.md §8).
+func (b *Brain) planWorkers() runner.Options {
+	opts := b.cfg.Recompute
+	opts.Workers = max(opts.PoolSize()-1, 1)
+	return opts
+}
+
+// buildProbes runs the per-dirty-element Dijkstra sweeps (forward from
+// the element over the CSR, and backward to it over the reverse CSR).
+// Sweeps are deduplicated by root — dirty links sharing an endpoint share
+// the distance arrays — and fan out across planWorkers; probe outcomes
+// are order-independent (entryStale ORs over them), so the parallel
+// schedule changes nothing.
+func (b *Brain) buildProbes(r *round) []probe {
+	n, arenas := b.cfg.N, r.arenas
 	// Distinct sweep roots: reverse sweeps end at a dirty link's entry (or
 	// a dirty node), forward sweeps start at its exit (or the node).
 	revSet := make(map[int]bool)
 	fwdSet := make(map[int]bool)
-	for lk := range b.dirtyLinks {
+	for lk := range r.links {
 		revSet[lk.src] = true
 		fwdSet[lk.dst] = true
 	}
-	for id := range b.dirtyNodes {
+	for id := range r.nodes {
 		revSet[id] = true
 		fwdSet[id] = true
 	}
@@ -508,46 +612,46 @@ func (b *Brain) buildProbesLocked() []probe {
 		}
 		return roots[a].id < roots[c].id
 	})
-	b.view.MaterializeWeights() // both row directions: workers only read
-	arenas := b.arenasLocked()
-	nw, inw := b.view.NeighborWeights, b.view.InNeighborWeights
-	dists, _ := runner.MapW(b.cfg.Recompute, roots, func(w int, r root) []float64 {
-		if r.rev {
-			return arenas[w].DijkstraDist(n, r.id, inw)
+	r.view.MaterializeWeights() // both row directions: workers only read
+	nw, inw := r.view.NeighborWeights, r.view.InNeighborWeights
+	dists, _ := runner.MapW(b.planWorkers(), roots, func(w int, rt root) []float64 {
+		if rt.rev {
+			return arenas[w].DijkstraDist(n, rt.id, inw)
 		}
-		return arenas[w].DijkstraDist(n, r.id, nw)
+		return arenas[w].DijkstraDist(n, rt.id, nw)
 	})
 	rev := make(map[int][]float64, len(revSet))
 	fwd := make(map[int][]float64, len(fwdSet))
-	for i, r := range roots {
-		if r.rev {
-			rev[r.id] = dists[i]
+	for i, rt := range roots {
+		if rt.rev {
+			rev[rt.id] = dists[i]
 		} else {
-			fwd[r.id] = dists[i]
+			fwd[rt.id] = dists[i]
 		}
 	}
-	probes := make([]probe, 0, len(b.dirtyLinks)+len(b.dirtyNodes))
-	for lk, ver := range b.dirtyLinks {
+	probes := make([]probe, 0, len(r.links)+len(r.nodes))
+	for lk, ver := range r.links {
 		probes = append(probes, probe{
-			ver: ver, w: b.view.Weight(lk.src, lk.dst), toS: rev[lk.src], fromD: fwd[lk.dst],
+			ver: ver, w: r.view.Weight(lk.src, lk.dst), toS: rev[lk.src], fromD: fwd[lk.dst],
 		})
 	}
-	for id, ver := range b.dirtyNodes {
+	for id, ver := range r.nodes {
 		probes = append(probes, probe{ver: ver, toS: rev[id], fromD: fwd[id]})
 	}
 	return probes
 }
 
-// entryStaleLocked reports whether any dirty element recorded after the
-// entry's compute version could change its KSP result.
-func (b *Brain) entryStaleLocked(k pairKey, e *pibEntry, probes []probe) bool {
+// entryStale reports whether any of the round's dirty elements recorded
+// after the entry's compute version could change its KSP result.
+func (r *round) entryStale(ref pibRef, probes []probe) bool {
+	k, e := ref.key, ref.e
 	for _, p := range e.raw {
 		for i, nd := range p.Nodes {
-			if ver, ok := b.dirtyNodes[nd]; ok && ver > e.version {
+			if ver, ok := r.nodes[nd]; ok && ver > e.version {
 				return true
 			}
 			if i+1 < len(p.Nodes) {
-				if ver, ok := b.dirtyLinks[pairKey{nd, p.Nodes[i+1]}]; ok && ver > e.version {
+				if ver, ok := r.links[pairKey{nd, p.Nodes[i+1]}]; ok && ver > e.version {
 					return true
 				}
 			}
@@ -564,6 +668,42 @@ func (b *Brain) entryStaleLocked(k pairKey, e *pibEntry, probes []probe) bool {
 		}
 	}
 	return false
+}
+
+// applyLocked is the last step of a round: it drops the entries the plan
+// found stale — but only where the PIB still holds the very entry the
+// plan examined. A key that was dropped and recomputed since the freeze
+// holds an entry that saw every change the round is about.
+func (b *Brain) applyLocked(r *round, stale []int) {
+	dropped := uint64(0)
+	for _, i := range stale {
+		ref := r.entries[i]
+		if b.pib[ref.key] == ref.e {
+			delete(b.pib, ref.key)
+			dropped++
+		}
+	}
+	b.tel.pibInvalidated.Add(dropped)
+}
+
+// applyDirtLocked is a whole routing round at once, for the changes that
+// must not wait for the epoch: a failure report or a revival takes
+// routing effect before the call that ingested it returns, so the three
+// steps run back to back under the serving lock, on the serving arenas.
+func (b *Brain) applyDirtLocked() {
+	r := &b.lockedRound
+	r.arenas = b.arenasLocked()
+	if b.freezeLocked(r) {
+		b.applyLocked(r, b.plan(r))
+	}
+	r.release()
+}
+
+// release drops what a finished round points at; the round is kept for
+// its capacity.
+func (r *round) release() {
+	clear(r.entries)
+	r.links, r.nodes = nil, nil
 }
 
 // --- Global Discovery ---

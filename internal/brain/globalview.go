@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"livenet/internal/graph"
 	"livenet/internal/stats"
 	"livenet/internal/telemetry"
 )
@@ -22,6 +23,8 @@ type brainInstruments struct {
 	lastResortUsed        *telemetry.Counter
 	overloadAlarms        *telemetry.Counter
 	streamsActive         *telemetry.Gauge
+	epochUs               *telemetry.Histogram
+	epochLockedUs         *telemetry.Histogram
 }
 
 func newBrainInstruments(r *telemetry.Registry) brainInstruments {
@@ -35,6 +38,8 @@ func newBrainInstruments(r *telemetry.Registry) brainInstruments {
 		lastResortUsed:        r.Counter("brain.last_resort_used"),
 		overloadAlarms:        r.Counter("brain.overload_alarms"),
 		streamsActive:         r.Gauge("brain.streams_active"),
+		epochUs:               r.Histogram("brain.epoch_us"),
+		epochLockedUs:         r.Histogram("brain.epoch_locked_us"),
 	}
 }
 
@@ -58,7 +63,10 @@ func (b *Brain) ReportNodeTelemetry(id int, snap telemetry.Snapshot, streams []u
 // the Global Discovery view plus ingested node telemetry. eval and
 // `livenet-bench -telemetry` render it as text tables.
 type GlobalView struct {
-	Nodes      int // overlay size
+	Nodes int // overlay size
+	// NodesDown and NodesStale count among the nodes this Brain owns
+	// (Config.Owns; all of them for the monolith): a federation shard marks
+	// a foreign gateway down too, and its owner already counts it.
 	NodesDown  int // marked down (failure reports or staleness)
 	NodesStale int // no report within StaleAfter (subset of down once swept)
 	Links      int // links with at least one measurement
@@ -96,7 +104,7 @@ func (b *Brain) GlobalView() GlobalView {
 		v.Producers[sid] = p
 	}
 	for i := 0; i < b.cfg.N; i++ {
-		if b.view.NodeDown(i) {
+		if b.owns(i) && b.view.NodeDown(i) {
 			v.NodesDown++
 		}
 	}
@@ -108,27 +116,21 @@ func (b *Brain) GlobalView() GlobalView {
 			}
 		}
 	}
-	for i := 0; i < b.cfg.N; i++ {
-		for j := 0; j < b.cfg.N; j++ {
-			l := b.view.Link(i, j)
-			if l == nil {
-				continue
-			}
-			v.Links++
-			if l.Down {
-				v.LinksDown++
-				continue
-			}
-			v.MeanLinkUtil += l.Util
-			v.MeanLinkLoss += l.Loss
-			if l.Util > v.MaxLinkUtil {
-				v.MaxLinkUtil = l.Util
-			}
-			if l.Loss > v.MaxLinkLoss {
-				v.MaxLinkLoss = l.Loss
-			}
+	b.view.EachLink(func(l *graph.Link) {
+		v.Links++
+		if l.Down {
+			v.LinksDown++
+			return
 		}
-	}
+		v.MeanLinkUtil += l.Util
+		v.MeanLinkLoss += l.Loss
+		if l.Util > v.MaxLinkUtil {
+			v.MaxLinkUtil = l.Util
+		}
+		if l.Loss > v.MaxLinkLoss {
+			v.MaxLinkLoss = l.Loss
+		}
+	})
 	if up := v.Links - v.LinksDown; up > 0 {
 		v.MeanLinkUtil /= float64(up)
 		v.MeanLinkLoss /= float64(up)

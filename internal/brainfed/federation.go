@@ -1008,18 +1008,11 @@ func (f *Federation) GlobalView() brain.GlobalView {
 	}
 	f.mu.Unlock()
 	utilSum, lossSum, up := 0.0, 0.0, 0
-	for s, sh := range f.shards {
+	for _, sh := range f.shards {
 		v := sh.GlobalView()
-		// A shard reports NodesDown over the whole fleet, but only ever
-		// marks nodes it ingests reports about; count only owned nodes
-		// so a down gateway seen by two shards is not double-counted.
-		down := 0
-		for _, id := range f.part.Nodes(s) {
-			if sh.View().NodeDown(id) {
-				down++
-			}
-		}
-		merged.NodesDown += down
+		// A shard counts down and stale nodes among the ones it owns, so
+		// a down gateway seen by two shards is counted once.
+		merged.NodesDown += v.NodesDown
 		merged.NodesStale += v.NodesStale
 		merged.Links += v.Links
 		merged.LinksDown += v.LinksDown

@@ -191,3 +191,116 @@ func TestNeighborWeightsInvalidation(t *testing.T) {
 		t.Fatalf("cache disagrees with Weight after SetNodeUtil")
 	}
 }
+
+// randomGraph reports ~70 % of the pairs of an n-node graph, rows in a
+// scrambled `to` order, with node load and a few failures.
+func randomGraph(n int, seed int64) *Graph {
+	g := New(n)
+	rng := sim.NewSource(seed).Stream("frozen")
+	for i := 0; i < n; i++ {
+		for k := 0; k < n; k++ {
+			j := (k*5 + i) % n // 5 ∤ n below: a permutation, not ascending
+			if i != j && rng.Bernoulli(0.7) {
+				g.SetLink(i, j, time.Duration(5+rng.Intn(80))*time.Millisecond, rng.Float64()*0.01, rng.Float64())
+			}
+		}
+		g.SetNodeUtil(i, rng.Float64())
+	}
+	g.SetNodeDown(3, true)
+	g.SetLinkDown(1, (5+1)%n, true)
+	return g
+}
+
+// sameWeights asserts a frozen view reads what a live graph reads, on
+// every row in both directions and for every pair through Weight.
+func sameWeights(t *testing.T, tag string, f *Frozen, g *Graph) {
+	t.Helper()
+	eq := func(a, b float64) bool { return a == b || (math.IsInf(a, 1) && math.IsInf(b, 1)) }
+	for i := 0; i < g.N; i++ {
+		for dir, rows := range [2][2]func(int) ([]int, []float64){
+			{f.NeighborWeights, g.NeighborWeights}, {f.InNeighborWeights, g.InNeighborWeights},
+		} {
+			fn, fw := rows[0](i)
+			gn, gw := rows[1](i)
+			if len(fn) != len(gn) {
+				t.Fatalf("%s: node %d dir %d: %d frozen neighbours, %d live", tag, i, dir, len(fn), len(gn))
+			}
+			for k := range fn {
+				if fn[k] != gn[k] || !eq(fw[k], gw[k]) {
+					t.Fatalf("%s: node %d dir %d slot %d: frozen (%d, %v), live (%d, %v)", tag, i, dir, k, fn[k], fw[k], gn[k], gw[k])
+				}
+			}
+		}
+		for j := 0; j < g.N; j++ {
+			if !eq(f.Weight(i, j), g.Weight(i, j)) {
+				t.Fatalf("%s: Weight(%d,%d): frozen %v, live %v", tag, i, j, f.Weight(i, j), g.Weight(i, j))
+			}
+		}
+	}
+}
+
+// TestFrozenMatchesLiveAndStaysPut: a frozen view reads exactly the
+// weights of the graph it was taken from, and keeps reading them while
+// that graph is mutated — metric updates, node state, and an insertion
+// whose compaction replaces every CSR array the view shares.
+func TestFrozenMatchesLiveAndStaysPut(t *testing.T) {
+	const n = 12
+	g := randomGraph(n, 5)
+	f := g.Freeze(nil)
+	f.MaterializeWeights()
+	sameWeights(t, "fresh", f, g)
+
+	// The reference for "stays put" is a second graph built the same way
+	// and never touched again.
+	still := randomGraph(n, 5)
+	g.SetLink(0, 5, 999*time.Millisecond, 0.5, 0.9)
+	g.SetNodeUtil(4, 0.99)
+	g.SetNodeDown(3, false)
+	g.SetNodeDown(7, true)
+	sameWeights(t, "after metric updates", f, still)
+
+	// New pairs land in the pending list; the next row read compacts them
+	// into freshly allocated arrays.
+	added := 0
+	for i := 0; i < n && added < 5; i++ {
+		for j := 0; j < n && added < 5; j++ {
+			if i != j && g.Link(i, j) == nil {
+				g.SetLink(i, j, 7*time.Millisecond, 0, 0)
+				added++
+			}
+		}
+	}
+	if added == 0 {
+		t.Fatal("the random graph left no pair to insert")
+	}
+	g.MaterializeWeights()
+	sameWeights(t, "after a compaction", f, still)
+	// Recycling the view: it now reads the graph as it is today.
+	f = g.Freeze(f)
+	f.MaterializeWeights()
+	sameWeights(t, "refrozen into the same view", f, g)
+}
+
+// TestEachLinkVisitsInPairOrder pins the order GlobalView's sums are
+// folded in: (from, to) ascending whatever the insertion order was.
+func TestEachLinkVisitsInPairOrder(t *testing.T) {
+	g := randomGraph(12, 9)
+	var want [][2]int
+	for i := 0; i < g.N; i++ {
+		for j := 0; j < g.N; j++ {
+			if g.Link(i, j) != nil {
+				want = append(want, [2]int{i, j})
+			}
+		}
+	}
+	var got [][2]int
+	g.EachLink(func(l *Link) { got = append(got, [2]int{l.From, l.To}) })
+	if len(got) != len(want) {
+		t.Fatalf("visited %d links, the graph holds %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("visit %d is %v, want %v", i, got[i], want[i])
+		}
+	}
+}

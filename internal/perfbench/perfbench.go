@@ -26,6 +26,7 @@ import (
 	"livenet/internal/ksp"
 	"livenet/internal/netem"
 	"livenet/internal/sim"
+	"livenet/internal/telemetry"
 	"livenet/internal/workload"
 )
 
@@ -43,6 +44,7 @@ func Specs() []Spec {
 		{Name: "BrainPaperScale", Func: BrainPaperScale},
 		{Name: "BrainPaperScale2000", Func: BrainPaperScale2000},
 		{Name: "BrainEpochChurn", Func: BrainEpochChurn},
+		{Name: "BrainLookupUnderEpoch", Func: BrainLookupUnderEpoch},
 		{Name: "BrainFederatedEpoch", Func: BrainFederatedEpoch},
 		{Name: "BrainFederatedChurn", Func: BrainFederatedChurn},
 		{Name: "GraphNeighborWeights", Func: GraphNeighborWeights},
@@ -185,22 +187,77 @@ func brainPaperScale(b *testing.B, n int) {
 func BrainEpochChurn(b *testing.B) {
 	f := newPaperFleet(paperN)
 	f.epoch(b) // warm PIB: steady state before the first churn round
-	dirty := len(f.links) / 100
-	if dirty < 1 {
-		dirty = 1
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < dirty; k++ {
-			l := f.links[(i*dirty+k)%len(f.links)]
-			jitter := time.Duration(1+(i+k)%7) * time.Millisecond
-			f.br.ReportLink(l[0], l[1], f.world.RTT(l[0], l[1])+jitter, 0.0005, 0.1)
-		}
+		f.churn(i)
 		f.br.AdvanceEpoch()
 		f.epoch(b)
 	}
-	b.ReportMetric(float64(dirty), "dirty_links")
+	b.ReportMetric(float64(f.dirty()), "dirty_links")
+}
+
+// dirty is a churn round's size: ~1 % of the links.
+func (f *paperFleet) dirty() int { return max(len(f.links)/100, 1) }
+
+// churn re-reports round i's share of the links with a jittered RTT.
+func (f *paperFleet) churn(i int) {
+	dirty := f.dirty()
+	for k := 0; k < dirty; k++ {
+		l := f.links[(i*dirty+k)%len(f.links)]
+		jitter := time.Duration(1+(i+k)%7) * time.Millisecond
+		f.br.ReportLink(l[0], l[1], f.world.RTT(l[0], l[1])+jitter, 0.0005, 0.1)
+	}
+}
+
+// BrainLookupUnderEpoch is the serving path measured while the routing
+// path runs (ROADMAP item 3's "first measure"): one goroutine calls Lookup
+// back to back on the warm working set while another runs BrainEpochChurn's
+// round — 1 % of the links re-reported, then AdvanceEpoch. One op is one
+// round with its refill; the extras are taken only while AdvanceEpoch is
+// running: lookups_per_s, and lookup_wait_p99_us / lookup_wait_max_us, the
+// time a single Lookup call took (the p99 from a power-of-two histogram:
+// the upper edge of its bucket). A round that holds the serving lock shows
+// up as a max — and, once it is long enough, a p99 — one round long.
+func BrainLookupUnderEpoch(b *testing.B) {
+	f := newPaperFleet(paperN)
+	f.epoch(b)
+	reg := telemetry.NewRegistry()
+	waits := reg.Histogram("lookup_wait_ns")
+	var during, longest time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.churn(i)
+		done := make(chan struct{})
+		start := time.Now()
+		go func() {
+			f.br.AdvanceEpoch()
+			close(done)
+		}()
+		for q, running := i, true; running; q++ {
+			select {
+			case <-done:
+				running = false
+			default:
+				t0 := time.Now()
+				if _, err := f.br.Lookup(f.sids[q%len(f.sids)], (q*7)%f.n); err != nil {
+					b.Fatal(err)
+				}
+				wait := time.Since(t0)
+				waits.Observe(wait.Nanoseconds())
+				longest = max(longest, wait)
+			}
+		}
+		during += time.Since(start)
+		f.epoch(b)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(f.dirty()), "dirty_links")
+	snap := reg.Snapshot().Histograms["lookup_wait_ns"]
+	b.ReportMetric(float64(snap.Count)/during.Seconds(), "lookups_per_s")
+	b.ReportMetric(float64(snap.Quantile(0.99))/1e3, "lookup_wait_p99_us")
+	b.ReportMetric(float64(longest)/1e3, "lookup_wait_max_us")
 }
 
 // --- Federated paper-scale fleet (one Brain shard per region) ---

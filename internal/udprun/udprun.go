@@ -479,8 +479,24 @@ type BrainClient struct {
 
 	mu      sync.Mutex
 	token   uint32
-	pending map[uint32]func([][]int, error)
+	pending map[uint32]pendingLookup
 }
+
+// pendingLookup is one PathRequest awaiting its PathResponse.
+type pendingLookup struct {
+	cb       func([][]int, error)
+	deadline *time.Timer
+}
+
+// LookupDeadline is how long a PathRequest waits for its PathResponse.
+// Either datagram can be lost; without a deadline the caller's callback
+// never fires — a node would keep its stream in "lookup pending" for
+// ever, which its retry scan skips — and the pending entry leaks.
+const LookupDeadline = time.Second
+
+// ErrLookupUnanswered is what a lookup's callback gets when no
+// PathResponse arrived within LookupDeadline.
+var ErrLookupUnanswered = errors.New("udprun: brain lookup unanswered")
 
 // NewBrainClient builds a client on an existing endpoint. It must be
 // installed before the endpoint's Serve handler via WrapHandler.
@@ -488,7 +504,7 @@ func NewBrainClient(ep *Endpoint, brainAddr string) (*BrainClient, error) {
 	if err := ep.AddPeer(BrainID, brainAddr); err != nil {
 		return nil, err
 	}
-	return &BrainClient{ep: ep, pending: make(map[uint32]func([][]int, error))}, nil
+	return &BrainClient{ep: ep, pending: make(map[uint32]pendingLookup)}, nil
 }
 
 // WrapHandler returns a handler that intercepts Brain RPC responses and
@@ -500,11 +516,7 @@ func (c *BrainClient) WrapHandler(next func(from int, data []byte)) func(from in
 			if err := resp.Unmarshal(data); err != nil {
 				return
 			}
-			c.mu.Lock()
-			cb := c.pending[resp.Token]
-			delete(c.pending, resp.Token)
-			c.mu.Unlock()
-			if cb != nil {
+			if cb := c.take(resp.Token); cb != nil {
 				if !resp.OK {
 					cb(nil, brain.ErrUnknownStream)
 					return
@@ -525,19 +537,43 @@ func (c *BrainClient) WrapHandler(next func(from int, data []byte)) func(from in
 	}
 }
 
-// Lookup implements node.PathLookupFunc over the RPC.
+// take removes a pending lookup and returns its callback, or nil when the
+// response, the deadline or a send error already took it: whoever takes
+// the entry calls the callback, so it fires exactly once.
+func (c *BrainClient) take(tok uint32) func([][]int, error) {
+	c.mu.Lock()
+	p, ok := c.pending[tok]
+	delete(c.pending, tok)
+	c.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	p.deadline.Stop()
+	return p.cb
+}
+
+// fail ends a pending lookup with err, unless it was answered meanwhile.
+func (c *BrainClient) fail(tok uint32, err error) {
+	if cb := c.take(tok); cb != nil {
+		cb(nil, err)
+	}
+}
+
+// Lookup implements node.PathLookupFunc over the RPC. cb fires once: with
+// the Brain's answer, or with an error when the request cannot be sent or
+// stays unanswered for LookupDeadline.
 func (c *BrainClient) Lookup(sid uint32, consumer int, cb func([][]int, error)) {
 	c.mu.Lock()
 	c.token++
 	tok := c.token
-	c.pending[tok] = cb
+	c.pending[tok] = pendingLookup{
+		cb:       cb,
+		deadline: time.AfterFunc(LookupDeadline, func() { c.fail(tok, ErrLookupUnanswered) }),
+	}
 	c.mu.Unlock()
 	req := wire.PathRequest{StreamID: sid, Consumer: uint16(consumer), Token: tok}
 	if err := c.ep.Send(c.ep.id, BrainID, req.Marshal(nil)); err != nil {
-		c.mu.Lock()
-		delete(c.pending, tok)
-		c.mu.Unlock()
-		cb(nil, err)
+		c.fail(tok, err)
 	}
 }
 
