@@ -7,9 +7,10 @@
 #   make bench-smoke # routing/perf suite, one iteration each (part of make ci)
 #   make bench-routing # cold/warm routing-epoch suite incl. the N=2000 point, one iteration each
 #   make bench-shard # federated-Brain epoch benchmarks, one iteration each
-#   make bench-check # hot-path alloc regression guard vs BENCH_10.json (part of make ci)
+#   make bench-check # hot-path alloc regression guard vs BENCH_11.json (part of make ci)
 #   make bench-build # vet, gofmt and -short tests of the frozen bench/ module (part of make ci)
-#   make bench-json # perfbench suite -> BENCH_10.json snapshot (minutes)
+#   make bench-json # perfbench suite -> BENCH_11.json snapshot (minutes)
+#   make lab-smoke  # three udprun nodes on loopback: median frame delay over three hops <= 3 ms (part of make ci)
 #   make quick      # scaled-down end-to-end evaluation report
 #   make macro-1m   # cohort-engine scale smoke: quarter-million-viewer macro pair
 #   make chaos      # fault-tolerance evaluation (deterministic fault injection)
@@ -19,11 +20,11 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-dataplane race-brain bench bench-smoke bench-routing bench-shard bench-check bench-build bench-json quick macro-1m chaos chaos-migrate telemetry docs
+.PHONY: all ci vet build test race race-dataplane race-brain lab-smoke bench bench-smoke bench-routing bench-shard bench-check bench-build bench-json quick macro-1m chaos chaos-migrate telemetry docs
 
 all: ci
 
-ci: vet build race race-dataplane race-brain chaos chaos-migrate docs bench-smoke bench-check bench-build macro-1m
+ci: vet build race race-dataplane race-brain lab-smoke chaos chaos-migrate docs bench-smoke bench-check bench-build macro-1m
 
 vet:
 	$(GO) vet ./...
@@ -53,6 +54,14 @@ race-dataplane:
 race-brain:
 	$(GO) test -race -count=3 ./internal/brain/... ./internal/brainfed/... ./internal/graph/...
 
+# Loopback smoke: one paced 600 kbit/s stream through three udprun nodes
+# for 2 s; fails if the median frame delay over the three hops passes
+# 3 ms. A packet its links have budget for leaves a node when it arrives;
+# under a fixed 2 ms drain tick the floor was 6 ms, so a tick cannot come
+# back unnoticed while a noisy runner still passes.
+lab-smoke:
+	$(GO) test -run TestLoopbackChainFrameDelay -count=1 -v ./internal/perfbench
+
 # Benchmark smoke: the allocation-diet trio, the transport
 # micro-benchmarks, and the telemetry zero-overhead proof (forward path
 # allocs/op must not change with the registry enabled).
@@ -78,16 +87,16 @@ bench-shard:
 	$(GO) test -run xxx -bench 'BenchmarkBrainFederatedEpoch|BenchmarkBrainFederatedChurn' -benchtime 1x .
 
 # Perfbench snapshot: run the suite at full benchtime through
-# cmd/livenet-bench and write BENCH_10.json for cross-PR comparison.
+# cmd/livenet-bench and write BENCH_11.json for cross-PR comparison.
 bench-json:
-	$(GO) run ./cmd/livenet-bench -bench-json BENCH_10.json
+	$(GO) run ./cmd/livenet-bench -bench-json BENCH_11.json
 
 # Hot-path alloc regression guard: re-run the allocation-diet benchmarks
-# and fail if any exceeds its committed BENCH_10.json allocs/op by >10%
+# and fail if any exceeds its committed BENCH_11.json allocs/op by >10%
 # (zero-alloc paths must stay at zero). ns/op is not gated — timing is
 # machine-dependent; allocation counts are deterministic.
 bench-check:
-	$(GO) run ./cmd/livenet-bench -bench-check BENCH_10.json
+	$(GO) run ./cmd/livenet-bench -bench-check BENCH_11.json
 
 # The repo benchmark (BENCHMARK.json) is its own Go module under bench/
 # that compiles against exported internal/ names; `go build ./...` and

@@ -408,6 +408,8 @@ func BenchmarkNodeForwardFanout100(b *testing.B)  { perfbench.NodeForwardFanout1
 func BenchmarkNodeForwardFanout1000(b *testing.B) { perfbench.NodeForwardFanout1000(b) }
 func BenchmarkUDPLoopbackEcho(b *testing.B)       { perfbench.UDPLoopbackEcho(b) }
 func BenchmarkUDPLoopbackBatchRelay(b *testing.B) { perfbench.UDPLoopbackBatchRelay(b) }
+func BenchmarkPacerLinkCap(b *testing.B)          { perfbench.PacerLinkCap(b) }
+func BenchmarkUDPChainHopLatency(b *testing.B)    { perfbench.UDPChainHopLatency(b) }
 
 // BenchmarkBrainLookup measures the Path Decision serve path across
 // quiet routing epochs: with incremental epochs an AdvanceEpoch that saw

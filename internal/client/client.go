@@ -232,7 +232,8 @@ type Viewer struct {
 	// gaps tracks frame IDs skipped in completion order with the time the
 	// gap appeared; frames may complete out of order (loss recovery), so
 	// a gap only counts as missed content if it never fills.
-	gaps map[uint32]time.Duration
+	gaps    map[uint32]time.Duration
+	expired []uint32 // scratch: the gaps one sweep gives up on
 
 	// Slow-path-style loss recovery toward the consumer node.
 	haveHighest bool
@@ -420,7 +421,11 @@ func (v *Viewer) onFrame(f gop.AssembledFrame) {
 	// Content-gap tracking: frames may complete out of order while loss
 	// recovery fills holes, so skipped IDs are only provisional gaps. A
 	// gap that persists past the recovery horizon is missed content; a
-	// burst of missed frames longer than half the buffer is a stall.
+	// run of consecutive missed frames longer than half the buffer is a
+	// stall (the picture froze). Frames missing here and there — the
+	// unreferenced B frames a consumer sheds while a GoP prime crosses the
+	// client pacer — lower the frame rate and stop nothing, however many
+	// of them one sweep happens to expire.
 	if _, late := v.gaps[f.Header.FrameID]; late {
 		delete(v.gaps, f.Header.FrameID)
 	} else if f.Header.FrameID > v.lastFrame+1 {
@@ -434,18 +439,29 @@ func (v *Viewer) onFrame(f gop.AssembledFrame) {
 		v.lastFrame = f.Header.FrameID
 	}
 	const recoveryHorizon = 1500 * time.Millisecond
-	abandoned := 0
+	v.expired = v.expired[:0]
 	for id, seen := range v.gaps {
 		if now-seen > recoveryHorizon {
 			delete(v.gaps, id)
-			abandoned++
+			v.expired = append(v.expired, id)
 		}
 	}
-	if abandoned > 0 {
+	if abandoned := len(v.expired); abandoned > 0 {
 		v.stats.FramesMissed += abandoned
 		v.tel.framesMissed.Add(uint64(abandoned))
+		// The IDs one completion skipped share a gap time, so a run
+		// expires in one sweep.
+		slices.Sort(v.expired)
+		run, longest := 1, 1
+		for i := 1; i < abandoned; i++ {
+			if v.expired[i] != v.expired[i-1]+1 {
+				run = 0
+			}
+			run++
+			longest = max(longest, run)
+		}
 		const frameInterval = time.Second / 25
-		if time.Duration(abandoned)*frameInterval > v.Buffer/2 {
+		if time.Duration(longest)*frameInterval > v.Buffer/2 {
 			v.noteStall(now)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"livenet/internal/gop"
 	"livenet/internal/media"
 	"livenet/internal/netem"
 	"livenet/internal/node"
@@ -128,6 +129,61 @@ func TestViewerPlaybackCleanNetwork(t *testing.T) {
 	// encode 80ms + first mile 15ms + hops + 300ms buffer + 20ms decode.
 	if med < 400*time.Millisecond || med > 900*time.Millisecond {
 		t.Fatalf("median streaming delay = %v, want sub-second", med)
+	}
+}
+
+// TestStallIsARunOfMissedFrames pins the playback model's burst rule: a
+// stall is a run of consecutive missed frames longer than half the
+// buffer, not however many scattered gaps one sweep happens to expire.
+func TestStallIsARunOfMissedFrames(t *testing.T) {
+	play := func(skip func(id uint32) bool) ViewStats {
+		loop := sim.NewLoop(1)
+		v := NewViewer(viewerID, sidBase, 1, loop, nil)
+		for id := uint32(0); id < 100; id++ {
+			if skip(id) {
+				continue
+			}
+			if id >= 20 { // the first twenty arrive at once, as a prime does
+				loop.RunUntil(time.Duration(id) * time.Second / 25)
+			}
+			typ := media.FrameP
+			if id == 0 {
+				typ = media.FrameI
+			}
+			v.onFrame(gop.AssembledFrame{Header: media.FrameHeader{FrameID: id, Type: typ}})
+		}
+		return v.Stats()
+	}
+	// Every other frame of twenty missing (a consumer shedding unreferenced
+	// B frames), all found at one instant so that one sweep expires them.
+	if s := play(func(id uint32) bool { return id < 20 && id%2 == 1 }); s.Stalls != 0 || s.FramesMissed != 10 {
+		t.Fatalf("scattered gaps: stalls = %d, missed = %d; want 0, 10", s.Stalls, s.FramesMissed)
+	}
+	// Three in a row is 120 ms of frozen picture: under half the buffer.
+	if s := play(func(id uint32) bool { return id >= 10 && id < 13 }); s.Stalls != 0 || s.FramesMissed != 3 {
+		t.Fatalf("run of 3: stalls = %d, missed = %d; want 0, 3", s.Stalls, s.FramesMissed)
+	}
+	// Four in a row is 160 ms: a stall.
+	if s := play(func(id uint32) bool { return id >= 10 && id < 14 }); s.Stalls != 1 || s.FramesMissed != 4 {
+		t.Fatalf("run of 4: stalls = %d, missed = %d; want 1, 4", s.Stalls, s.FramesMissed)
+	}
+}
+
+// TestCleanNetworkNeverStalls sweeps seeds: the frames a consumer sheds
+// while the GoP prime crosses the viewer's pacer are missed content, and
+// on no seed a stall.
+func TestCleanNetworkNeverStalls(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		r := newRig(t, seed, 0, 0)
+		r.bc.Start()
+		r.loop.AfterFunc(2*time.Second, func() {
+			r.viewer.Attach()
+			r.consumer.AttachViewer(viewerID, r.bc.StreamID(0))
+		})
+		r.loop.RunUntil(14 * time.Second)
+		if s := r.viewer.Stats(); s.Stalls != 0 || !s.Started {
+			t.Errorf("seed %d: started = %v, stalls = %d on a clean network", seed, s.Started, s.Stalls)
+		}
 	}
 }
 

@@ -91,8 +91,14 @@ func (c MacroConfig) withDefaults() MacroConfig {
 		c.System = SystemLiveNet
 	}
 	if c.LiveNetHopProc <= 0 {
-		// Userspace forwarding + pacer dwell per hop; measured in the
-		// packet-level cluster at 10–25 ms under load.
+		// What a hop adds to the delay extension's packet — the first packet
+		// of an I frame — under load: the I-frame burst queueing for the
+		// link's GCC rate. Re-measured in the packet-level cluster after the
+		// pacer became work-conserving (PR 14; `livenet-bench -telemetry`):
+		// 21–28 ms at the producer's hop, 0–2 ms at a relay whose upstream
+		// already spaced the burst, node.pacer_wait_us mean 12.7 ms over
+		// all packets (p50 under 0.26 ms). It never was the 2 ms drain tick,
+		// so the constant and the macro tables built on it stay.
 		c.LiveNetHopProc = 18 * time.Millisecond
 	}
 	if c.StreamBitrate <= 0 {

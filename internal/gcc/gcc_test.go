@@ -256,24 +256,102 @@ func TestPacerPriorityOrder(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
+
+	// The same order through a deep backlog, where pops run ahead of a
+	// dead prefix and the queues compact under interleaved pushes: every
+	// drain emits all queued audio, then all RTX, then video, each class in
+	// push order.
+	q := NewPacer[[2]int](100e6)
+	next, last := [numClasses]int{}, [numClasses]int{}
+	now := time.Duration(0)
+	emitted, pushed, deepest := 0, 0, 0
+	for round := 0; round < 400; round++ {
+		for k := 0; k < 7; k++ {
+			c := Class((round + k) % int(numClasses))
+			next[c]++
+			if pos := q.NextPos(c); pos != uint64(next[c]) {
+				t.Fatalf("round %d: class %d's push number %d takes place %d", round, c, next[c], pos)
+			}
+			q.Push(Item[[2]int]{Class: c, Size: 1200, Payload: [2]int{int(c), next[c]}})
+			pushed++
+		}
+		deepest = max(deepest, q.QueueLen())
+		now += 300 * time.Microsecond // 3750 B of budget: the backlog grows by ~4 a round
+		if round >= 300 {
+			now += 2 * ms // and drains at the end
+		}
+		lastClass := ClassAudio
+		q.Drain(now, func(it Item[[2]int]) {
+			c, seq := Class(it.Payload[0]), it.Payload[1]
+			if c < lastClass {
+				t.Fatalf("round %d: class %d emitted after class %d", round, c, lastClass)
+			}
+			if seq != last[c]+1 {
+				t.Fatalf("round %d: class %d emitted %d after %d", round, c, seq, last[c])
+			}
+			if !q.Passed(c, uint64(seq)) || q.Passed(c, uint64(seq)+1) {
+				t.Fatalf("round %d: class %d emitted %d: Passed(%d) = %v, Passed(%d) = %v", round, c, seq, seq, q.Passed(c, uint64(seq)), seq+1, q.Passed(c, uint64(seq)+1))
+			}
+			lastClass, last[c] = c, seq
+			emitted++
+		})
+	}
+	if q.QueueLen() != pushed-emitted || q.QueueBytes() != 1200*(pushed-emitted) {
+		t.Fatalf("accounting: %d items / %d B queued, want %d / %d", q.QueueLen(), q.QueueBytes(), pushed-emitted, 1200*(pushed-emitted))
+	}
+	if emitted < pushed/2 || deepest < 1000 {
+		t.Fatalf("emitted %d of %d, deepest backlog %d: the case wants a deep backlog that also drains", emitted, pushed, deepest)
+	}
 }
 
+// TestPacerRateLimits: a permanently backlogged pacer emits rate × T,
+// give or take one burst, whether it is driven at the times Drain asks
+// for or on a fixed tick no longer than BurstWindow.
 func TestPacerRateLimits(t *testing.T) {
-	p := NewPacer[struct{}](1_000_000) // 125 kB/s
-	for i := 0; i < 1000; i++ {
-		p.Push(Item[struct{}]{Class: ClassVideo, Size: 1250})
-	}
-	sent := 0
-	now := time.Duration(0)
-	p.Drain(now, func(Item[struct{}]) { sent++ })
-	// Drive the pacer for one second in 5 ms ticks.
-	for i := 0; i < 200; i++ {
-		now += 5 * ms
-		p.Drain(now, func(Item[struct{}]) { sent++ })
-	}
-	// 1 Mbps / (1250 B) = 100 packets/s (+ initial burst allowance).
-	if sent < 90 || sent > 130 {
-		t.Fatalf("sent %d packets in 1s at 1 Mbps, want ~100", sent)
+	const size = 1200
+	asked := time.Duration(0)
+	for _, tc := range []struct {
+		name    string
+		rateBps float64
+		tick    time.Duration // asked: drain again when Drain says
+		T       time.Duration
+	}{
+		{"64k/asked", 64e3, asked, 60 * time.Second},
+		{"64k/2ms", 64e3, 2 * ms, 60 * time.Second},
+		{"1M/5ms", 1e6, 5 * ms, time.Second}, // a coarser tick, while rate × tick stays under the burst cap
+		{"8M/asked", 8e6, asked, 2 * time.Second},
+		{"8M/2ms", 8e6, 2 * ms, 2 * time.Second},
+		{"100M/asked", 100e6, asked, time.Second},
+		{"100M/2ms", 100e6, 2 * ms, time.Second},
+		{"1G/asked", 1e9, asked, 200 * ms},
+		{"1G/2ms", 1e9, 2 * ms, 200 * ms},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewPacer[struct{}](tc.rateBps)
+			burst := max(minBurst, tc.rateBps/8*BurstWindow.Seconds())
+			sent, drains := 0, 0
+			emit := func(Item[struct{}]) { sent += size }
+			for now := time.Duration(0); now <= tc.T; drains++ {
+				for p.QueueLen() < int(burst)/size+2 {
+					p.Push(Item[struct{}]{Class: ClassVideo, Size: size})
+				}
+				wait := p.Drain(now, emit)
+				if wait <= 0 {
+					t.Fatalf("backlogged Drain at %v returned wait %v", now, wait)
+				}
+				if tc.tick != asked {
+					wait = tc.tick
+				}
+				now += wait
+			}
+			want := tc.rateBps / 8 * tc.T.Seconds()
+			if d := float64(sent) - want; d < -burst-size || d > burst+size+idleBank {
+				t.Fatalf("sent %d B in %v over %d drains, want %.0f ± one burst (%.0f B)", sent, tc.T, drains, want, burst)
+			}
+			if tc.tick == asked && drains > sent/size+2 {
+				t.Fatalf("%d drains for %d packets: Drain asks to come back before the deficit is paid", drains, sent/size)
+			}
+		})
 	}
 }
 
@@ -300,17 +378,51 @@ func TestPacerIFrameGain(t *testing.T) {
 	}
 }
 
+// TestPacerNoIdleBurstBanking: however long a pacer idles it banks no
+// more than its burst cap, an emptied queue keeps one MTU — and that MTU
+// is there for the next arrival, which leaves at the instant it came.
 func TestPacerNoIdleBurstBanking(t *testing.T) {
-	p := NewPacer[struct{}](8_000_000)
-	p.Drain(0, func(Item[struct{}]) {})
-	// Idle for a long time, then enqueue a lot: the burst must be capped.
-	for i := 0; i < 100; i++ {
-		p.Push(Item[struct{}]{Class: ClassVideo, Size: 1200})
+	for _, rateBps := range []float64{64e3, 8e6, 100e6, 1e9} {
+		p := NewPacer[struct{}](rateBps)
+		sent := 0
+		emit := func(Item[struct{}]) { sent += 1200 }
+		p.Drain(0, emit)
+		for i := 0; i < 1000; i++ {
+			p.Push(Item[struct{}]{Class: ClassVideo, Size: 1200})
+		}
+		p.Drain(time.Hour, emit)
+		if burst := max(minBurst, rateBps/8*BurstWindow.Seconds()); float64(sent) > burst+1200 {
+			t.Fatalf("%g bit/s: an idle hour released %d B at once, burst cap %.0f B", rateBps, sent, burst)
+		}
+		if rateBps == 8e6 && sent > 15*1200 {
+			t.Fatalf("idle 8 Mbit/s pacer released %d packets at once", sent/1200)
+		}
 	}
-	sent := 0
-	p.Drain(10*time.Second, func(Item[struct{}]) { sent++ })
-	if sent > 15 {
-		t.Fatalf("idle pacer released %d packets at once; burst cap failed", sent)
+
+	// Work conservation: an idle pacer sends an arrival at once, and goes
+	// on doing so while the one-MTU bank lasts.
+	p := NewPacer[int](8e6)
+	var got []int
+	emit := func(it Item[int]) { got = append(got, it.Payload) }
+	now := time.Hour
+	for i := 1; i <= 2; i++ {
+		p.Push(Item[int]{Class: ClassVideo, Size: 1200, Payload: i})
+		if wait := p.Drain(now, emit); wait != 0 || len(got) != i || got[i-1] != i {
+			t.Fatalf("arrival %d on an idle pacer: emitted %v, wait %v; want it sent at once", i, got, wait)
+		}
+	}
+	// The third arrival at the same instant finds the bank spent: it waits
+	// exactly for the deficit (2400 B sent on 1500 B banked, at 1 B/µs).
+	p.Push(Item[int]{Class: ClassVideo, Size: 1200, Payload: 3})
+	wait := p.Drain(now, emit)
+	if len(got) != 2 || wait < 900*time.Microsecond || wait > 901*time.Microsecond {
+		t.Fatalf("third arrival: emitted %v, wait %v; want it held for the 900 µs deficit", got, wait)
+	}
+	if p.Drain(now+wait-2, emit); len(got) != 2 {
+		t.Fatalf("packet left %v before its deficit was paid", 2*time.Nanosecond)
+	}
+	if w := p.Drain(now+wait, emit); len(got) != 3 || w != 0 {
+		t.Fatalf("deficit paid: emitted %v, wait %v; want the third packet out", got, w)
 	}
 }
 
@@ -329,6 +441,9 @@ func TestPacerQueueDelayAndDrop(t *testing.T) {
 	}
 	if p.QueueBytes() != 0 || p.QueueLen() != 0 {
 		t.Fatal("queue not empty after drop")
+	}
+	if !p.Passed(ClassVideo, 100) || p.NextPos(ClassVideo) != 101 {
+		t.Fatalf("dropped items have left the queue: Passed(100) = %v, next place %d", p.Passed(ClassVideo, 100), p.NextPos(ClassVideo))
 	}
 }
 

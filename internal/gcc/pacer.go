@@ -43,11 +43,55 @@ type Item[T any] struct {
 	Payload T
 }
 
+// BurstWindow is the longest a driver may leave a backlogged pacer
+// between two drains and still carry the configured rate: the budget a
+// pacer accrues is capped at what its rate sends in this long (and never
+// below minBurst). The node's deficit timer never sleeps longer.
+const BurstWindow = 2 * time.Millisecond
+
+// minBurst (~10 MTUs) is the burst cap of a slow link, idleBank (one MTU)
+// what an emptied queue may keep for the next arrival.
+const (
+	minBurst = 12_000
+	idleBank = 1500
+)
+
+// classQueue is one class's FIFO: a slice with a head index, so a pop is
+// O(1) whatever the backlog.
+type classQueue[T any] struct {
+	items []Item[T]
+	head  int
+	gone  uint64 // items that have left, sent or dropped, over the queue's life
+}
+
+func (q *classQueue[T]) len() int { return len(q.items) - q.head }
+
+// pop removes the head. The slice is rewound when it empties and
+// compacted once the dead prefix passes half of it, so it stays reusable
+// (no allocation in steady state) at an amortized O(1) per pop.
+func (q *classQueue[T]) pop() Item[T] {
+	it := q.items[q.head]
+	q.items[q.head] = Item[T]{} // drop payload references
+	q.head++
+	q.gone++
+	switch {
+	case q.head == len(q.items):
+		q.items, q.head = q.items[:0], 0
+	case q.head > len(q.items)/2:
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return it
+}
+
 // Pacer shapes fast-path sending to the rate the slow path's GCC
 // controller decides. It is a pull-based token bucket: the node calls
-// Drain on a timer and sends whatever the budget allows, in class order.
+// Drain when a packet arrives and sends whatever the budget allows, in
+// class order; Drain says when to come back for what is left.
 type Pacer[T any] struct {
-	queues     [numClasses][]Item[T]
+	queues     [numClasses]classQueue[T]
+	queueLen   int
 	queueBytes int
 
 	rateBps   float64
@@ -56,13 +100,15 @@ type Pacer[T any] struct {
 	haveDrain bool
 
 	// maxBurst caps accumulated budget so an idle period doesn't produce
-	// a line-rate burst.
+	// a line-rate burst: max(minBurst, rate × BurstWindow).
 	maxBurst float64
 }
 
 // NewPacer returns a pacer at the given starting rate.
 func NewPacer[T any](rateBps float64) *Pacer[T] {
-	return &Pacer[T]{rateBps: rateBps, maxBurst: 12_000} // ~10 MTUs
+	p := &Pacer[T]{}
+	p.SetRate(rateBps)
+	return p
 }
 
 // SetRate updates the pacing rate (bps).
@@ -71,6 +117,7 @@ func (p *Pacer[T]) SetRate(bps float64) {
 		bps = 10_000
 	}
 	p.rateBps = bps
+	p.maxBurst = max(minBurst, bps/8*BurstWindow.Seconds())
 }
 
 // Rate returns the current pacing rate.
@@ -78,21 +125,29 @@ func (p *Pacer[T]) Rate() float64 { return p.rateBps }
 
 // Push enqueues an item.
 func (p *Pacer[T]) Push(it Item[T]) {
-	p.queues[it.Class] = append(p.queues[it.Class], it)
+	q := &p.queues[it.Class]
+	q.items = append(q.items, it)
+	p.queueLen++
 	p.queueBytes += it.Size
 }
+
+// NextPos returns the place the next item pushed to class c takes in that
+// class's FIFO, counted from 1 over the pacer's life; Passed reports
+// whether the item at pos has left the queue. (An item DropClassFunc
+// picks out from behind pos counts as gone from in front of it.)
+func (p *Pacer[T]) NextPos(c Class) uint64 {
+	q := &p.queues[c]
+	return q.gone + uint64(q.len()) + 1
+}
+
+// Passed: see NextPos.
+func (p *Pacer[T]) Passed(c Class, pos uint64) bool { return p.queues[c].gone >= pos }
 
 // QueueBytes returns the total queued bytes (all classes).
 func (p *Pacer[T]) QueueBytes() int { return p.queueBytes }
 
 // QueueLen returns the number of queued items.
-func (p *Pacer[T]) QueueLen() int {
-	n := 0
-	for _, q := range p.queues {
-		n += len(q)
-	}
-	return n
-}
+func (p *Pacer[T]) QueueLen() int { return p.queueLen }
 
 // QueueDelay estimates how long the current queue takes to drain at the
 // current rate — the signal the consumer's proactive frame dropping
@@ -111,19 +166,19 @@ func (p *Pacer[T]) QueueDelay() time.Duration {
 // references of items it drops.
 func (p *Pacer[T]) DropClassFunc(c Class, drop func(Item[T]) bool) int {
 	dropped := 0
-	q := p.queues[c]
-	kept := q[:0]
-	for i := range q {
-		if drop(q[i]) {
-			dropped += q[i].Size
+	q := &p.queues[c]
+	kept := q.items[:0]
+	for _, it := range q.items[q.head:] {
+		if drop(it) {
+			dropped += it.Size
 		} else {
-			kept = append(kept, q[i])
+			kept = append(kept, it)
 		}
 	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = Item[T]{} // drop payload references
-	}
-	p.queues[c] = kept
+	clear(q.items[len(kept):]) // drop payload references
+	q.gone += uint64(q.len() - len(kept))
+	p.queueLen -= q.len() - len(kept)
+	q.items, q.head = kept, 0
 	p.queueBytes -= dropped
 	return dropped
 }
@@ -134,14 +189,17 @@ func (p *Pacer[T]) DropClassFunc(c Class, drop func(Item[T]) bool) int {
 // buffer references release them there.
 func (p *Pacer[T]) DropClass(c Class, onDrop func(Item[T])) int {
 	dropped := 0
-	for i := range p.queues[c] {
-		dropped += p.queues[c][i].Size
+	q := &p.queues[c]
+	for _, it := range q.items[q.head:] {
+		dropped += it.Size
 		if onDrop != nil {
-			onDrop(p.queues[c][i])
+			onDrop(it)
 		}
-		p.queues[c][i] = Item[T]{} // drop payload references
 	}
-	p.queues[c] = p.queues[c][:0]
+	clear(q.items) // drop payload references
+	q.gone += uint64(q.len())
+	p.queueLen -= q.len()
+	q.items, q.head = q.items[:0], 0
 	p.queueBytes -= dropped
 	return dropped
 }
@@ -149,29 +207,26 @@ func (p *Pacer[T]) DropClass(c Class, onDrop func(Item[T])) int {
 // Drain accrues budget for the elapsed time and emits items in priority
 // order while budget remains. I-frame packets are charged size/1.5
 // (pacing gain). A packet may drive the budget negative; the deficit is
-// paid back before the next send.
-func (p *Pacer[T]) Drain(now time.Duration, emit func(Item[T])) {
+// paid back before the next send. Drain returns how long from now the
+// deficit takes to pay — when to drain again — or 0 when nothing is left
+// queued.
+func (p *Pacer[T]) Drain(now time.Duration, emit func(Item[T])) time.Duration {
 	if !p.haveDrain {
 		p.haveDrain = true
 		p.lastDrain = now
 		// Allow an initial burst of one MTU so the first packet is not
 		// delayed by budget accrual.
-		p.budget = 1500
+		p.budget = idleBank
 	}
 	elapsed := now - p.lastDrain
 	p.lastDrain = now
-	p.budget += p.rateBps / 8 * elapsed.Seconds()
-	if p.budget > p.maxBurst {
-		p.budget = p.maxBurst
-	}
+	p.budget = min(p.budget+p.rateBps/8*elapsed.Seconds(), p.maxBurst)
 	for p.budget > 0 {
 		it, ok := p.pop()
 		if !ok {
 			// An empty queue must not bank budget for a later burst.
-			if p.budget > 1500 {
-				p.budget = 1500
-			}
-			return
+			p.budget = min(p.budget, idleBank)
+			return 0
 		}
 		charge := float64(it.Size)
 		if it.Gain > 1 {
@@ -180,19 +235,22 @@ func (p *Pacer[T]) Drain(now time.Duration, emit func(Item[T])) {
 		p.budget -= charge
 		emit(it)
 	}
+	if p.queueLen == 0 {
+		return 0
+	}
+	// +1: the budget must end up above zero, not at it.
+	return time.Duration(-p.budget/(p.rateBps/8)*float64(time.Second)) + 1
 }
 
 func (p *Pacer[T]) pop() (Item[T], bool) {
-	for c := range p.queues {
-		if n := len(p.queues[c]); n > 0 {
-			it := p.queues[c][0]
-			// Shift; amortized fine for short queues, and it keeps slices
-			// reusable.
-			copy(p.queues[c], p.queues[c][1:])
-			p.queues[c][n-1] = Item[T]{} // drop payload references
-			p.queues[c] = p.queues[c][:n-1]
-			p.queueBytes -= it.Size
-			return it, true
+	if p.queueLen > 0 {
+		for c := range p.queues {
+			if q := &p.queues[c]; q.len() > 0 {
+				it := q.pop()
+				p.queueLen--
+				p.queueBytes -= it.Size
+				return it, true
+			}
 		}
 	}
 	var zero Item[T]

@@ -136,6 +136,7 @@ func (n *Node) AttachViewer(clientID int, sid uint32) bool {
 // may be recycled by the next Insert, so the frames must be copied out
 // before the lock is released.
 func (n *Node) primeClientLocked(c *clientState, replay []gop.CachedPacket) {
+	now := n.cfg.Clock.Now()
 	for _, cp := range replay {
 		class := gcc.ClassVideo
 		if cp.Type == media.FrameAudio {
@@ -143,7 +144,7 @@ func (n *Node) primeClientLocked(c *clientState, replay []gop.CachedPacket) {
 		}
 		frame := wire.FrameRTP(make([]byte, 0, wire.RTPHeaderLen+len(cp.Data)), 0, cp.Data)
 		l := n.link(c.id)
-		l.pacer.Push(gcc.Item[outPacket]{Class: class, Size: len(frame), Gain: clientPrimeGain, Payload: outPacket{to: c.id, frame: frame}})
+		l.pacer.Push(gcc.Item[outPacket]{Class: class, Size: len(frame), Gain: clientPrimeGain, Payload: outPacket{to: c.id, frame: frame, at: now}})
 		n.kickPacer(l)
 	}
 	if len(replay) > 0 {

@@ -228,8 +228,15 @@ type Metrics struct {
 	MigrationsAborted     uint64 // migrations abandoned (guard timer / reject / teardown)
 }
 
-// pacerTick is the pacer drain granularity.
-const pacerTick = 2 * time.Millisecond
+// pacerTick is the longest a backlogged link sleeps before its next drain
+// (the pacer's burst cap covers exactly this long at the link's rate), and
+// pacerFloor the shortest: a deficit paid sooner than a real timer can
+// honour is rounded up to it, and the budget accrued meanwhile goes out as
+// one batch.
+const (
+	pacerTick  = gcc.BurstWindow
+	pacerFloor = 250 * time.Microsecond
+)
 
 // Node is one overlay node.
 type Node struct {
@@ -252,18 +259,19 @@ type Node struct {
 
 	tel instruments
 
-	// dirty is the set of links with packets awaiting a pacer drain, in
-	// kick order; one scheduled drainAll pass services all of them, so a
-	// 1k-subscriber fan-out costs one clock event instead of one per
-	// link. dirtySpare recycles the drained slice for the next round and
-	// flushScratch the list of links whose batches a pass is flushing
-	// (both taken exclusively under mu, so overlapping passes under a
-	// real clock fall back to fresh slices instead of sharing).
-	dirty          []*outLink
-	dirtySpare     []*outLink
-	flushScratch   []*outLink
-	drainScheduled bool
-	drainAllFn     func()
+	// dirty is the set of links with packets their pacer has not been
+	// offered, in kick order; one drain pass services all of them, so a
+	// 1k-subscriber fan-out costs one clock event, not one per link. Passes
+	// are single-flight: passActive holds from the kick that schedules one
+	// until it finds nothing dirty; a kick meanwhile only appends and the
+	// pass loops. So a link's packets reach the wire in queue order under a
+	// real (concurrent) clock, and the pass alone owns passLinks (the list
+	// it walks) and every toSend. waiting holds the links left backlogged
+	// with no budget until the deficit timer (due at timerDue; 0: unarmed).
+	dirty, waiting, passLinks []*outLink
+	passActive                bool
+	timerDue                  time.Duration
+	drainAllFn, deficitFn     func()
 
 	// OnFirstPacket fires when the first data packet is sent to a local
 	// client after AttachViewer (first-packet delay, §6.1).
@@ -282,20 +290,19 @@ type Node struct {
 
 // outLink is the paced sender state toward one neighbor (node or client).
 type outLink struct {
-	to            int
-	pacer         *gcc.Pacer[outPacket]
-	ctrl          *gcc.Controller
-	tickScheduled bool
+	to    int
+	pacer *gcc.Pacer[outPacket]
+	ctrl  *gcc.Controller
+	// queued: the link is in the node's dirty or waiting list, so a kick
+	// has nothing to add.
+	queued bool
 
 	// emitFn is created once per link so draining the pacer does not
 	// allocate a closure on the hot path.
 	emitFn func(it gcc.Item[outPacket])
 	// toSend is the drain scratch: filled by emitFn under mu, flushed
-	// outside it. sending guards it against overlapping drains under a
-	// real (concurrent) clock — a drain that finds the flush in progress
-	// reschedules instead of sharing the scratch.
-	toSend  []outPacket
-	sending bool
+	// outside it by the same (single-flight) pass.
+	toSend []outPacket
 	// vecs/asm are flush scratch: the batch submit view and the
 	// plain-Send assembly buffer.
 	vecs []wire.Vec
@@ -330,6 +337,7 @@ type outPacket struct {
 	seq    uint16          // RTP sequence number
 	traced bool            // packet has an open journey in the tracer
 	rtx    bool            // NACK-triggered retransmission
+	at     time.Duration   // when it was queued (node.pacer_wait_us)
 }
 
 // size returns the datagram length.
@@ -365,13 +373,15 @@ type fanoutSrc struct {
 	rtpData []byte      // borrowed from the transport; valid during onRTP only
 	sid     uint32
 	seq     uint16
+	at      time.Duration // the queueing time stamped into every outPacket
 }
 
 // initFanoutSrc populates src for one ingress packet. Called with mu held.
-func (n *Node) initFanoutSrc(src *fanoutSrc, rtpData []byte, sid uint32, seq uint16) {
+func (n *Node) initFanoutSrc(src *fanoutSrc, rtpData []byte, sid uint32, seq uint16, now time.Duration) {
 	src.rtpData = rtpData
 	src.sid = sid
 	src.seq = seq
+	src.at = now
 	src.tail = nil
 	pl := rtp.PrefixLen(rtpData)
 	if pl < 0 || wire.RTPHeaderLen+pl > outHdrCap {
@@ -409,6 +419,16 @@ type stream struct {
 	// order is not.
 	subOrder    []int
 	clientOrder []int
+	// rtxHeld holds the subscribers that have sent a Subscribe and not yet
+	// been seen through a recovered packet. The first one toward such a
+	// subscriber queues in its own class, behind whatever of the stream
+	// is queued there (the value is 0 until then, afterwards that packet's
+	// place in the class's FIFO), and so do the ones after it until it has
+	// left. Sent in the retransmission class it would overtake a GoP prime
+	// still queued for the subscriber and be the first packet of the
+	// stream it receives: its delivery front — and its GoP cache — would
+	// start past the I frame.
+	rtxHeld map[int]uint64
 
 	lookupPending  bool
 	backupPaths    [][]int
@@ -472,7 +492,8 @@ func New(cfg Config) *Node {
 		tel:     newInstruments(cfg.Telemetry),
 	}
 	n.pool.Instrument(n.tel.framePoolHits, n.tel.framePoolMisses)
-	n.drainAllFn = n.drainAll
+	n.drainAllFn = func() { n.drainAll(false) }
+	n.deficitFn = func() { n.drainAll(true) }
 	if !cfg.SerialSend {
 		n.vecNet, _ = cfg.Net.(VecSender)
 		n.batchNet, _ = cfg.Net.(BatchSender)
@@ -698,9 +719,9 @@ func (n *Node) onRTP(from int, data []byte) {
 		}
 		class, gain := classify(&pkt)
 		var src fanoutSrc
-		n.initFanoutSrc(&src, rtpData, pkt.SSRC, pkt.SequenceNumber)
+		n.initFanoutSrc(&src, rtpData, pkt.SSRC, pkt.SequenceNumber, now)
 		for _, sub := range s.subOrder {
-			n.forwardTo(sub, &src, class, gain, isRTX)
+			n.forwardTo(sub, &src, class, gain, isRTX && n.rtxMayJump(s, sub, class))
 		}
 		// Local clients (consumer role), with proactive frame dropping.
 		for _, id := range s.clientOrder {
@@ -726,6 +747,26 @@ func classify(pkt *rtp.Packet) (gcc.Class, float64) {
 	return gcc.ClassVideo, 0
 }
 
+// rtxMayJump reports whether a recovered packet of s may go to sub in the
+// retransmission class, ahead of the queued video (see stream.rtxHeld);
+// if not, the caller queues it in class. Called with mu held.
+func (n *Node) rtxMayJump(s *stream, sub int, class gcc.Class) bool {
+	pos, held := s.rtxHeld[sub]
+	if !held {
+		return true
+	}
+	p := n.link(sub).pacer
+	if pos == 0 {
+		s.rtxHeld[sub] = p.NextPos(class)
+		return false
+	}
+	if !p.Passed(class, pos) {
+		return false
+	}
+	delete(s.rtxHeld, sub)
+	return true
+}
+
 // forwardTo enqueues one fan-out packet toward a downstream node.
 // Called with mu held.
 func (n *Node) forwardTo(to int, src *fanoutSrc, class gcc.Class, gain float64, isRTX bool) {
@@ -748,7 +789,7 @@ func (n *Node) pushFrom(l *outLink, src *fanoutSrc, class gcc.Class, gain float6
 		half = n.cfg.LinkRTT(l.to) / 2
 	}
 	add := uint32((n.cfg.ProcessingDelay + half) / (10 * time.Microsecond))
-	op := outPacket{to: l.to, sid: src.sid, seq: src.seq, rtx: isRTX, traced: traced}
+	op := outPacket{to: l.to, sid: src.sid, seq: src.seq, rtx: isRTX, traced: traced, at: src.at}
 	if src.tail != nil {
 		op.hdr = src.hdr
 		op.hdrLen = src.hdrLen
@@ -768,7 +809,7 @@ func (n *Node) pushFrom(l *outLink, src *fanoutSrc, class gcc.Class, gain float6
 // that may be recycled, so sharing a pooled tail is not safe here).
 // Called with mu held.
 func (n *Node) forwardCopy(to int, rtpData []byte, class gcc.Class, gain float64, isRTX bool, sid uint32, seq uint16) {
-	src := fanoutSrc{rtpData: rtpData, sid: sid, seq: seq}
+	src := fanoutSrc{rtpData: rtpData, sid: sid, seq: seq, at: n.cfg.Clock.Now()}
 	n.forwardTo(to, &src, class, gain, isRTX)
 }
 
@@ -788,106 +829,109 @@ func (n *Node) link(to int) *outLink {
 	return l
 }
 
-// kickPacer marks a link dirty and ensures a drain pass is scheduled.
-// Called with mu held.
+// kickPacer marks a link dirty and makes sure a drain pass sees it: the
+// running one, or one scheduled now at delay 0, so that the receive loop
+// reads on while the pass sends. A link waiting for the deficit timer has
+// no budget: a kick has nothing to offer it. Called with mu held.
 func (n *Node) kickPacer(l *outLink) {
-	if !l.tickScheduled {
-		l.tickScheduled = true
+	if !l.queued {
+		l.queued = true
 		n.dirty = append(n.dirty, l)
-	}
-	if !n.drainScheduled {
-		n.drainScheduled = true
-		n.cfg.Clock.Schedule(pacerTick, n.drainAllFn)
-	}
-}
-
-// rekick re-arms a link for the next drain pass. Called with mu held.
-func (n *Node) rekick(l *outLink) {
-	l.tickScheduled = true
-	n.dirty = append(n.dirty, l)
-	if !n.drainScheduled {
-		n.drainScheduled = true
-		n.cfg.Clock.Schedule(pacerTick, n.drainAllFn)
+		if !n.passActive {
+			n.passActive = true
+			n.cfg.Clock.Schedule(0, n.drainAllFn)
+		}
 	}
 }
 
-// drainAll services every dirty link in one pass: drain each link's
-// pacer into its scratch under one lock hold, then stamp and flush the
-// batches outside the lock. One clock event and two lock transitions
-// cover the whole fan-out regardless of subscriber count.
-func (n *Node) drainAll() {
+// drainAll is the node's drain pass, started by a kick or (timer) by the
+// deficit timer handing the waiting links back. Until nothing is dirty it
+// drains each dirty link's pacer into its scratch under one lock hold and
+// flushes the batches outside it. A link left backlogged with no budget
+// waits for the timer: armed for when the first such deficit is paid,
+// within [pacerFloor, pacerTick].
+func (n *Node) drainAll(timer bool) {
 	n.mu.Lock()
-	if n.closed {
+	if timer {
+		// An event an earlier re-arm superseded finds the timer disarmed
+		// or re-armed for later: that one took the links.
+		if n.timerDue != 0 && n.cfg.Clock.Now() >= n.timerDue {
+			n.timerDue = 0
+			n.dirty = append(n.dirty, n.waiting...)
+			n.waiting = n.waiting[:0]
+		}
+		if n.passActive || len(n.dirty) == 0 {
+			n.mu.Unlock()
+			return // the running pass takes them, or there is nothing to
+		}
+		n.passActive = true
+		n.tel.drainTimerPasses.Inc()
+	} else {
+		n.tel.drainPasses.Inc()
+	}
+	for len(n.dirty) > 0 && !n.closed {
+		links := n.dirty
+		n.dirty, n.passLinks = n.passLinks[:0], links // kicks refill last round's list
+		now := n.cfg.Clock.Now()
+		wake, parked := pacerTick, false
+		for _, l := range links {
+			l.queued = false
+			if qd := l.pacer.QueueDelay(); qd > 0 {
+				n.tel.pacerQueueUs.Observe(int64(qd / time.Microsecond))
+			}
+			l.toSend = l.toSend[:0]
+			if wait := l.pacer.Drain(now, l.emitFn); wait > 0 {
+				l.queued, parked = true, true
+				n.waiting = append(n.waiting, l)
+				wake = min(wake, wait)
+			}
+		}
+		if due := now + max(wake, pacerFloor); parked && (n.timerDue == 0 || due < n.timerDue) {
+			n.timerDue = due
+			n.cfg.Clock.Schedule(due-now, n.deficitFn)
+		}
 		n.mu.Unlock()
-		return
-	}
-	n.drainScheduled = false
-	links := n.dirty
-	n.dirty = n.dirtySpare[:0]
-	n.dirtySpare = nil // in use below; a concurrent pass must not take it
-	flush := n.flushScratch[:0]
-	n.flushScratch = nil
-	now := n.cfg.Clock.Now()
-	for _, l := range links {
-		l.tickScheduled = false
-		if l.sending {
-			// A previous pass is still flushing this link's batch outside
-			// the lock (possible under a real, concurrent clock). The
-			// scratch is in use: come back next tick.
-			n.rekick(l)
-			continue
-		}
-		if qd := l.pacer.QueueDelay(); qd > 0 {
-			n.tel.pacerQueueUs.Observe(int64(qd / time.Microsecond))
-		}
-		l.toSend = l.toSend[:0]
-		l.pacer.Drain(now, l.emitFn)
-		n.tel.packetsForwarded.Add(uint64(len(l.toSend)))
-		if l.pacer.QueueLen() > 0 {
-			n.rekick(l)
-		}
-		if len(l.toSend) > 0 {
-			n.tel.fanoutBatch.Observe(int64(len(l.toSend)))
-			l.sending = true
-			flush = append(flush, l)
-		}
-	}
-	n.mu.Unlock()
 
-	// Stamp and send outside the lock: the transport may deliver
-	// synchronously in degenerate cases and re-enter OnMessage.
-	now10us := uint32(now / (10 * time.Microsecond))
-	for _, l := range flush {
-		toSend := l.toSend
-		for i := range toSend {
-			p := &toSend[i]
-			if p.tail != nil {
-				binary.BigEndian.PutUint32(p.hdr[1:], now10us)
-			} else {
-				wire.PatchRTPSendTime(p.frame, now10us)
+		// Stamp and send outside the lock: the transport may deliver
+		// synchronously in degenerate cases and re-enter OnMessage. A
+		// fan-out's packets were queued at one instant: a run of them
+		// costs one wait-histogram update (one per packet is three atomic
+		// adds each, +10 % ns/op on NodeForwardFanout*; EXPERIMENTS.md).
+		now10us := uint32(now / (10 * time.Microsecond))
+		at, run := time.Duration(0), uint64(0)
+		for _, l := range links {
+			toSend := l.toSend // the pass's own: no kick touches it
+			if len(toSend) == 0 {
+				continue
 			}
-			if p.traced {
-				n.cfg.Tracer.Send(p.sid, p.seq, n.id, p.to, p.rtx)
+			n.tel.packetsForwarded.Add(uint64(len(toSend)))
+			n.tel.fanoutBatch.Observe(int64(len(toSend)))
+			for i := range toSend {
+				p := &toSend[i]
+				if p.tail != nil {
+					binary.BigEndian.PutUint32(p.hdr[1:], now10us)
+				} else {
+					wire.PatchRTPSendTime(p.frame, now10us)
+				}
+				if p.traced {
+					n.cfg.Tracer.Send(p.sid, p.seq, n.id, p.to, p.rtx)
+				}
+				if p.at != at {
+					n.tel.pacerWaitUs.ObserveN(int64((now-at)/time.Microsecond), run)
+					at, run = p.at, 0
+				}
+				run++
+			}
+			n.flushBatch(l, toSend)
+			for i := range toSend {
+				toSend[i].release()
+				toSend[i] = outPacket{}
 			}
 		}
-		n.flushBatch(l, toSend)
-		for i := range toSend {
-			toSend[i].release()
-			toSend[i] = outPacket{}
-		}
+		n.tel.pacerWaitUs.ObserveN(int64((now-at)/time.Microsecond), run)
+		n.mu.Lock()
 	}
-
-	n.mu.Lock()
-	for i, l := range flush {
-		l.sending = false
-		flush[i] = nil
-	}
-	for i := range links {
-		links[i] = nil
-	}
-	// Recycle the scratch slices now that this pass is done with them.
-	n.dirtySpare = links[:0]
-	n.flushScratch = flush[:0]
+	n.passActive = false
 	n.mu.Unlock()
 }
 
@@ -985,6 +1029,7 @@ func (n *Node) newStream(sid uint32) *stream {
 		upstream:    -1,
 		oldLegFrom:  -1,
 		subscribers: make(map[int]bool),
+		rtxHeld:     make(map[int]uint64),
 		clients:     make(map[int]*clientState),
 		cache:       gop.NewCache(n.cfg.GoPCacheGoPs, 0),
 		rtx:         newRTXRing(1024),
@@ -1000,11 +1045,13 @@ func (s *stream) addSubscriber(id int) {
 		s.subscribers[id] = true
 		s.subOrder = append(s.subOrder, id)
 	}
+	s.rtxHeld[id] = 0 // a Subscribe: the requester may be starting over
 }
 
 func (s *stream) dropSubscriber(id int) {
 	if s.subscribers[id] {
 		delete(s.subscribers, id)
+		delete(s.rtxHeld, id)
 		s.subOrder = removeID(s.subOrder, id)
 	}
 }

@@ -31,6 +31,13 @@ const (
 
 func newHarness(t *testing.T, seed int64, nodeIDs []int) *harness {
 	t.Helper()
+	return newTunedHarness(t, seed, nodeIDs, nil)
+}
+
+// newTunedHarness is newHarness with tune (if non-nil) adjusting every
+// node's Config.
+func newTunedHarness(t *testing.T, seed int64, nodeIDs []int, tune func(*Config)) *harness {
+	t.Helper()
 	loop := sim.NewLoop(seed)
 	h := &harness{
 		t:          t,
@@ -47,14 +54,18 @@ func newHarness(t *testing.T, seed int64, nodeIDs []int) *harness {
 		})
 	}
 	for _, id := range nodeIDs {
-		n := New(Config{
+		cfg := Config{
 			ID:         id,
 			Clock:      loop,
 			Net:        h.net,
 			PathLookup: lookup,
 			LinkRTT:    func(to int) time.Duration { return 20 * time.Millisecond },
 			IsOverlay:  func(id int) bool { return id < broadcasterID },
-		})
+		}
+		if tune != nil {
+			tune(&cfg)
+		}
+		n := New(cfg)
 		h.nodes[id] = n
 		h.net.Handle(id, n.OnMessage)
 	}

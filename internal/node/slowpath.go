@@ -155,6 +155,18 @@ func (n *Node) slowPathReceive(s *stream, from int, sendTime10us uint32, rtpData
 		r.haveHighest = true
 		r.highest = seq
 		r.expected = seq
+		// The first packet seen need not be the first one sent. If it sits
+		// some way into its frame, the packets before it were lost on the
+		// way (the head of a GoP prime, say): holes like any other, or the
+		// GoP cache here and below would start inside the frame, and every
+		// viewer primed from one would wait for the next GoP.
+		var h media.FrameHeader
+		if h.Unmarshal(pkt.Payload) == nil && h.PktIdx > 0 && h.PktIdx < h.PktCount {
+			r.expected = seq - h.PktIdx
+			for q := r.expected; q != seq; q++ {
+				r.holes[q] = &hole{firstSeen: now}
+			}
+		}
 		// RR windows start at the join point, not at sequence 0 --
 		// otherwise the first report declares everything before the join
 		// as lost and the loss-based controller collapses.

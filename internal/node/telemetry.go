@@ -34,6 +34,9 @@ type instruments struct {
 	migrationsCompleted   *telemetry.Counter
 	migrationsAborted     *telemetry.Counter
 	pacerQueueUs          *telemetry.Histogram
+	pacerWaitUs           *telemetry.Histogram
+	drainPasses           *telemetry.Counter
+	drainTimerPasses      *telemetry.Counter
 	fanoutBatch           *telemetry.Histogram
 	framePoolHits         *telemetry.Counter
 	framePoolMisses       *telemetry.Counter
@@ -65,6 +68,9 @@ func newInstruments(r *telemetry.Registry) instruments {
 		migrationsCompleted:   r.Counter("node.migrations_completed"),
 		migrationsAborted:     r.Counter("node.migrations_aborted"),
 		pacerQueueUs:          r.Histogram("node.pacer_queue_us"),
+		pacerWaitUs:           r.Histogram("node.pacer_wait_us"),
+		drainPasses:           r.Counter("node.drain_passes"),
+		drainTimerPasses:      r.Counter("node.drain_timer_passes"),
 		fanoutBatch:           r.Histogram("node.fanout_batch_size"),
 		framePoolHits:         r.Counter("node.frame_pool_hits"),
 		framePoolMisses:       r.Counter("node.frame_pool_misses"),

@@ -77,7 +77,10 @@ func nodeForwardFanout(b *testing.B, subs int) {
 	payOff := wire.RTPHeaderLen + rtp.PrefixLen(frame[wire.RTPHeaderLen:]) // media header
 	// drain steps the loop until the pacers have emitted the whole
 	// fan-out (the loop is never empty — nodes keep watchdog timers
-	// armed — so "run until quiet" would not terminate).
+	// armed — so "run until quiet" would not terminate), then lets 2 ms
+	// of virtual time pass: ingress packets 2 ms apart, as the drain tick
+	// used to space them. With no time passing between packets the slow
+	// path's time-driven state (rate meter, scans) would never turn over.
 	target := 0
 	drain := func() {
 		target += subs
@@ -86,6 +89,7 @@ func nodeForwardFanout(b *testing.B, subs int) {
 				b.Fatalf("loop drained with %d/%d datagrams delivered", sink.n, target)
 			}
 		}
+		loop.RunUntil(loop.Now() + 2*time.Millisecond)
 	}
 	// Warm the path (pool, per-link scratch, recvState) before timing.
 	for i := 0; i < 3; i++ {

@@ -60,6 +60,8 @@ func Specs() []Spec {
 		{Name: "NodeForwardFanout1000", Func: NodeForwardFanout1000},
 		{Name: "UDPLoopbackEcho", Func: UDPLoopbackEcho},
 		{Name: "UDPLoopbackBatchRelay", Func: UDPLoopbackBatchRelay},
+		{Name: "PacerLinkCap", Func: PacerLinkCap},
+		{Name: "UDPChainHopLatency", Func: UDPChainHopLatency},
 	}
 }
 

@@ -93,10 +93,17 @@ func BucketUpper(i int) int64 {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	h.count.Add(1)
-	h.sum.Add(v)
-	h.buckets[bucketIndex(v)].Add(1)
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of the same value at the cost of one
+// (a fan-out's packets share their queueing time).
+func (h *Histogram) ObserveN(v int64, n uint64) {
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
+	h.sum.Add(v * int64(n))
+	h.buckets[bucketIndex(v)].Add(n)
 }
 
 // snapshot captures the histogram's current state.

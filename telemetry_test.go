@@ -72,7 +72,8 @@ func newForwardHarness(reg *telemetry.Registry) *forwardHarness {
 }
 
 // step pushes one RTP packet through ingress -> classify -> forward ->
-// pacer drain, advancing the clock 2 ms so the pacer releases it.
+// pacer drain and advances the clock 2 ms: the packets' spacing (and
+// time for it to cross the 5 ms link within a few steps).
 func (h *forwardHarness) step() {
 	h.seq++
 	binary.BigEndian.PutUint16(h.rtpBuf[2:], h.seq)
