@@ -7,9 +7,9 @@
 #   make bench-smoke # routing/perf suite, one iteration each (part of make ci)
 #   make bench-routing # cold/warm routing-epoch suite incl. the N=2000 point, one iteration each
 #   make bench-shard # federated-Brain epoch benchmarks, one iteration each
-#   make bench-check # hot-path alloc regression guard vs BENCH_11.json (part of make ci)
+#   make bench-check # hot-path alloc regression guard vs BENCH_12.json (part of make ci)
 #   make bench-build # vet, gofmt and -short tests of the frozen bench/ module (part of make ci)
-#   make bench-json # perfbench suite -> BENCH_11.json snapshot (minutes)
+#   make bench-json # perfbench suite -> BENCH_12.json snapshot (minutes)
 #   make lab-smoke  # three udprun nodes on loopback: median frame delay over three hops <= 3 ms (part of make ci)
 #   make quick      # scaled-down end-to-end evaluation report
 #   make macro-1m   # cohort-engine scale smoke: quarter-million-viewer macro pair
@@ -17,14 +17,15 @@
 #   make chaos-migrate # planned-reconfiguration gate: rolling restart adds zero stalls
 #   make telemetry  # observability report: journey waterfalls + Brain GlobalView
 #   make docs       # docs-freshness gate: every registered metric documented
+#   make golden     # -quick -no-ablations and -chaos reports vs testdata/*.golden (part of make ci)
 
 GO ?= go
 
-.PHONY: all ci vet build test race race-dataplane race-brain lab-smoke bench bench-smoke bench-routing bench-shard bench-check bench-build bench-json quick macro-1m chaos chaos-migrate telemetry docs
+.PHONY: all ci vet build test race race-dataplane race-brain lab-smoke bench bench-smoke bench-routing bench-shard bench-check bench-build bench-json quick macro-1m chaos chaos-migrate telemetry docs golden
 
 all: ci
 
-ci: vet build race race-dataplane race-brain lab-smoke chaos chaos-migrate docs bench-smoke bench-check bench-build macro-1m
+ci: vet build race race-dataplane race-brain lab-smoke chaos chaos-migrate docs golden bench-smoke bench-check bench-build macro-1m
 
 vet:
 	$(GO) vet ./...
@@ -87,16 +88,17 @@ bench-shard:
 	$(GO) test -run xxx -bench 'BenchmarkBrainFederatedEpoch|BenchmarkBrainFederatedChurn' -benchtime 1x .
 
 # Perfbench snapshot: run the suite at full benchtime through
-# cmd/livenet-bench and write BENCH_11.json for cross-PR comparison.
+# cmd/livenet-bench and write BENCH_12.json. Its ns/op rows compare only
+# with rows measured on the same machine the same day.
 bench-json:
-	$(GO) run ./cmd/livenet-bench -bench-json BENCH_11.json
+	$(GO) run ./cmd/livenet-bench -bench-json BENCH_12.json
 
 # Hot-path alloc regression guard: re-run the allocation-diet benchmarks
-# and fail if any exceeds its committed BENCH_11.json allocs/op by >10%
+# and fail if any exceeds its committed BENCH_12.json allocs/op by >10%
 # (zero-alloc paths must stay at zero). ns/op is not gated — timing is
 # machine-dependent; allocation counts are deterministic.
 bench-check:
-	$(GO) run ./cmd/livenet-bench -bench-check BENCH_11.json
+	$(GO) run ./cmd/livenet-bench -bench-check BENCH_12.json
 
 # The repo benchmark (BENCHMARK.json) is its own Go module under bench/
 # that compiles against exported internal/ names; `go build ./...` and
@@ -137,3 +139,10 @@ telemetry:
 # from OBSERVABILITY.md.
 docs:
 	$(GO) test -run TestObservabilityDocCoversMetrics -count=1 .
+
+# Behaviour-held gate: regenerates `livenet-bench -quick -no-ablations`
+# and `-chaos` in-process and compares them, wall-clock lines aside, with
+# testdata/*.golden. A change meant to move them refreshes the files with
+# `go test -run TestGoldenReports . -update`.
+golden:
+	$(GO) test -run TestGoldenReports -count=1 .

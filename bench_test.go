@@ -318,6 +318,7 @@ func BenchmarkPacerDrain(b *testing.B) {
 func BenchmarkYenKSPFullMesh(b *testing.B)       { perfbench.YenKSPFullMesh(b) }
 func BenchmarkDenseMeshRouting(b *testing.B)     { perfbench.DenseMeshRouting(b) }
 func BenchmarkGraphNeighborWeights(b *testing.B) { perfbench.GraphNeighborWeights(b) }
+func BenchmarkGeoWorldBuild600(b *testing.B)     { perfbench.GeoWorldBuild600(b) }
 
 // BenchmarkMacroPerViewer10k / MacroCohort10k share a workload at a
 // 10k-viewer peak and differ only in the engine — their ns/op ratio is

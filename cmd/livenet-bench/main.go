@@ -154,114 +154,16 @@ func main() {
 		out = io.MultiWriter(os.Stdout, f)
 	}
 
-	if *chaosOnly {
-		fmt.Fprintf(out, "LiveNet fault-tolerance evaluation — seed %d\n\n", o.Seed)
-		start := time.Now()
-		fmt.Fprintln(out, eval.FaultReport(o.Seed))
-		fmt.Fprintf(out, "total wall time: %v\n", time.Since(start).Round(time.Millisecond))
-		return
+	switch {
+	case *chaosOnly:
+		eval.WriteFaultTolerance(out, o.Seed)
+	case *telemetryOnly:
+		eval.WriteTelemetry(out, o.Seed)
+	case *macroOnly:
+		session.WriteMacroRun(out, o)
+	default:
+		session.WriteEvaluation(out, o, *seeds, !*skipAblations)
 	}
-
-	if *telemetryOnly {
-		fmt.Fprintf(out, "LiveNet observability report — seed %d (see OBSERVABILITY.md)\n\n", o.Seed)
-		start := time.Now()
-		fmt.Fprintln(out, eval.TelemetryReport(o.Seed))
-		fmt.Fprintf(out, "total wall time: %v\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	if *macroOnly {
-		fmt.Fprintf(out, "LiveNet macro run — %s, %d sites, seed %d\n", horizonLabel(o), o.Sites, o.Seed)
-		start := time.Now()
-		r := session.Run(o)
-		fmt.Fprintf(out, "simulated %d views per system in %v\n\n", r.LN.Views, time.Since(start).Round(time.Millisecond))
-		fmt.Fprintln(out, eval.Table1(r))
-		if cs := eval.CohortSummary(r); cs != "" {
-			fmt.Fprintln(out, cs)
-		}
-		fmt.Fprintf(out, "total wall time: %v\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
-
-	fmt.Fprintf(out, "LiveNet evaluation — %s, %d sites, peak %.1f views/s, seed %d\n",
-		horizonLabel(o), o.Sites, o.PeakViewsPerSec, o.Seed)
-	start := time.Now()
-	r := session.Run(o)
-	fmt.Fprintf(out, "simulated %d views per system in %v\n\n", r.LN.Views, time.Since(start).Round(time.Millisecond))
-
-	sections := []string{
-		eval.Table1(r),
-	}
-	if cs := eval.CohortSummary(r); cs != "" {
-		sections = append(sections, cs)
-	}
-	sections = append(sections,
-		eval.Fig2(r),
-		eval.Fig8a(r),
-		eval.Fig8b(r),
-		eval.Fig8c(r),
-		eval.Fig9(r),
-		eval.Fig10a(r),
-		eval.Fig10b(r),
-		eval.Fig10c(r),
-		eval.Table2(r),
-		eval.Fig11(r),
-		eval.Fig12(r),
-		eval.Fig13(r),
-	)
-	// Figure 14 / Table 3 need the festival window; the full run includes
-	// it, a short run may not reach day 13.
-	if o.Days >= 13 && o.Double12 {
-		sections = append(sections, eval.Fig14(r), eval.Table3(r))
-	} else {
-		sections = append(sections, "Figure 14 / Table 3 skipped: run needs >= 13 days with -quick off\n")
-	}
-	for _, s := range sections {
-		fmt.Fprintln(out, s)
-	}
-
-	if *seeds > 1 {
-		fmt.Fprintln(out, strings.Repeat("-", 60))
-		m := session.RunSeeds(o, *seeds)
-		fmt.Fprintln(out, eval.SeedTable(m))
-	}
-
-	if !*skipAblations {
-		fmt.Fprintln(out, strings.Repeat("-", 60))
-		fmt.Fprintln(out, session.FastSlowTable(o.Seed, []float64{0, 0.005, 0.01, 0.02}))
-		fmt.Fprintln(out, eval.AblationLinkWeights(o.Seed))
-		ablOpt := o
-		ablOpt.Days = min(o.Days, 2)
-		ablOpt.Double12 = false
-		fmt.Fprintln(out, session.MacroAblations(ablOpt))
-	}
-
-	fmt.Fprintln(out, strings.Repeat("-", 60))
-	fmt.Fprintln(out, eval.FaultReport(o.Seed))
-
-	rep := session.Report()
-	wall := time.Since(start).Round(time.Millisecond)
-	fmt.Fprintf(out, "total wall time: %v\n", wall)
-	if rep.Jobs > 0 {
-		fmt.Fprintf(out, "scheduler: %d runs, serial-equivalent %v, batch wall %v, speedup %.2fx",
-			rep.Jobs, rep.Serial.Round(time.Millisecond), rep.Wall.Round(time.Millisecond), rep.Speedup())
-		if hits := session.MemoHits(); hits > 0 {
-			fmt.Fprintf(out, ", %d runs served from memo", hits)
-		}
-		fmt.Fprintln(out)
-	}
-}
-
-// horizonLabel describes the simulated horizon and sizing of a run.
-func horizonLabel(o eval.Options) string {
-	h := fmt.Sprintf("%d days", o.Days)
-	if o.Hours > 0 {
-		h = fmt.Sprintf("%d hours", o.Hours)
-	}
-	if o.Viewers > 0 {
-		h += fmt.Sprintf(", %d peak viewers (cohort-aggregated)", o.Viewers)
-	}
-	return h
 }
 
 // benchRecord is one perfbench result row in the JSON snapshot.
@@ -283,6 +185,9 @@ type benchRecord struct {
 // benchSnapshot is the JSON document `-bench-json` writes: the whole
 // perfbench suite on this machine, for cross-PR comparison.
 type benchSnapshot struct {
+	// Note says which of the snapshot's figures compare across snapshots.
+	Note      string        `json:"note"`
+	Date      string        `json:"date"`
 	GoVersion string        `json:"go_version"`
 	GOOS      string        `json:"goos"`
 	GOARCH    string        `json:"goarch"`
@@ -294,6 +199,9 @@ type benchSnapshot struct {
 // testing.Benchmark and writes the snapshot to path.
 func runBenchJSON(path string) error {
 	snap := benchSnapshot{
+		Note: "ns_per_op compares only with rows measured on the same machine on the same day; " +
+			"allocs_per_op is deterministic and is what -bench-check gates",
+		Date:      time.Now().Format(time.DateOnly),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,

@@ -185,7 +185,10 @@ func (e *macroEnv) cohortAddBatch(t time.Duration, n float64, cb client.CohortBa
 
 // cohortView synthesizes one exact viewing session at the given edge
 // site: duration from the bounded-Pareto model, origin at the site
-// itself (so the per-viewer handler resolves the same edge).
+// itself, so Hier's handler resolves the same edge. The LiveNet engine
+// hands the edge to its handler instead: geo.World.NearestSite maps a
+// site's own coordinates to that site (pinned in geo's tests), so
+// resolving it again could only return the same answer.
 func (e *macroEnv) cohortView(site, chRank int, t time.Duration, wcfg workload.Config) workload.View {
 	durSecs := e.rng.Pareto(wcfg.ViewMinSecs, wcfg.ViewAlpha)
 	if durSecs > wcfg.ViewMaxSecs {
@@ -246,13 +249,13 @@ func runMacroLiveNetCohort(cfg MacroConfig) *MacroResult {
 			exact := 0
 			e.pktFactor = rungFactor(a.Key.Rung)
 			if f.streams[site][sid] == nil {
-				e.handleLiveNetView(f, e.cohortView(site, rank, t, wcfg), chans)
+				e.handleLiveNetView(f, e.cohortView(site, rank, t, wcfg), chans, site)
 				exact++
 			}
 			if rem := k - exact; rem > 0 {
 				if nTr := e.rng.Binomial(rem, cfg.TracerSample); nTr > 0 {
 					for i := 0; i < nTr; i++ {
-						e.handleLiveNetView(f, e.cohortView(site, rank, t, wcfg), chans)
+						e.handleLiveNetView(f, e.cohortView(site, rank, t, wcfg), chans, site)
 					}
 					exact += nTr
 				}

@@ -206,13 +206,14 @@ func runMacroLiveNet(cfg MacroConfig) *MacroResult {
 			}
 			f.advanceTo(v.Start)
 
-			e.handleLiveNetView(f, v, chans)
+			consumer := e.world.NearestSite(v.Lat, v.Lon)
+			e.handleLiveNetView(f, v, chans, consumer)
 
 			e.active++
 			if ds := e.dayStats(v.Start); e.active > ds.PeakConcurrency {
 				ds.PeakConcurrency = e.active
 			}
-			heap.Push(&e.deps, departure{at: v.Start + v.Duration, site: e.world.NearestSite(v.Lat, v.Lon), sid: chans[v.Channel].StreamID})
+			heap.Push(&e.deps, departure{at: v.Start + v.Duration, site: consumer, sid: chans[v.Channel].StreamID})
 		}
 	}
 	f.finish()
@@ -220,11 +221,11 @@ func runMacroLiveNet(cfg MacroConfig) *MacroResult {
 	return e.res
 }
 
-// handleLiveNetView runs Algorithm 1 for one viewing session.
-func (e *macroEnv) handleLiveNetView(f *lnFabric, v workload.View, chans []workload.Channel) {
+// handleLiveNetView runs Algorithm 1 for one viewing session served at
+// the consumer edge site the caller resolved for it.
+func (e *macroEnv) handleLiveNetView(f *lnFabric, v workload.View, chans []workload.Channel, consumer int) {
 	ch := chans[v.Channel]
 	sid := ch.StreamID
-	consumer := e.world.NearestSite(v.Lat, v.Lon)
 	producer := e.chProducer[v.Channel]
 	intl := v.Country != ch.Country
 	cp := e.drawClient()

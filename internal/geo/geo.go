@@ -6,10 +6,10 @@
 package geo
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"livenet/internal/sim"
@@ -83,12 +83,18 @@ func DefaultConfig() Config {
 }
 
 // World is the synthetic geography: sites plus distance-derived link
-// metrics. Worlds are immutable after construction.
+// metrics. Build tabulates every ordered pair's RTT and base loss, so the
+// link queries are index loads. Worlds are immutable after construction
+// and safe for concurrent readers.
 type World struct {
 	Sites []Site
-	// inflation[i*n+j] is the per-pair path-stretch factor applied to the
-	// great-circle RTT (routing detours, queuing headroom).
-	inflation []float64
+	n     int
+	// rtt[i*n+j] and loss[i*n+j] are RTT(i, j) and BaseLoss(i, j).
+	rtt  []time.Duration
+	loss []float64
+	// cosLat[i] is the cosine of site i's latitude, the per-site factor of
+	// NearestSite's haversine.
+	cosLat []float64
 	// peering[i] in [0,1] grades a site's interconnect quality. Paths
 	// between two poorly peered sites pay a large transit penalty, so
 	// relaying through a well-peered hub often beats the direct link —
@@ -178,14 +184,16 @@ func Build(cfg Config, rng *sim.Rand) *World {
 			w.peering[i] = rng.Float64() * 0.6
 		}
 	}
-	w.inflation = make([]float64, n*n)
+	// inflation[i*n+j] is the per-pair path-stretch factor applied to the
+	// great-circle RTT (routing detours, queuing headroom).
+	inflation := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
 			if j < i {
-				w.inflation[i*n+j] = w.inflation[j*n+i]
+				inflation[i*n+j] = inflation[j*n+i]
 				continue
 			}
 			// Paths inside one country are better engineered than
@@ -198,7 +206,21 @@ func Build(cfg Config, rng *sim.Rand) *World {
 			if w.Sites[i].Country != w.Sites[j].Country {
 				base = 2.3
 			}
-			w.inflation[i*n+j] = base + rng.Float64()*0.7
+			inflation[i*n+j] = base + rng.Float64()*0.7
+		}
+	}
+
+	w.n = n
+	w.rtt = make([]time.Duration, n*n)
+	w.loss = make([]float64, n*n)
+	w.cosLat = make([]float64, n)
+	for i, s := range w.Sites {
+		w.cosLat[i] = math.Cos(s.Lat * degToRad)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			w.rtt[i*n+j] = w.linkRTT(i, j, inflation[i*n+j])
+			w.loss[i*n+j] = w.linkLoss(i, j)
 		}
 	}
 	return w
@@ -216,14 +238,21 @@ func wrapLon(l float64) float64 {
 	return l
 }
 
+const degToRad = math.Pi / 180
+
 // haversineKm returns the great-circle distance in km.
 func haversineKm(lat1, lon1, lat2, lon2 float64) float64 {
+	return haversineCosKm(lat1, lon1, math.Cos(lat1*degToRad), lat2, lon2, math.Cos(lat2*degToRad))
+}
+
+// haversineCosKm is haversineKm with each point's cosine of latitude
+// supplied by the caller.
+func haversineCosKm(lat1, lon1, cosLat1, lat2, lon2, cosLat2 float64) float64 {
 	const earthRadiusKm = 6371
-	rad := math.Pi / 180
-	dLat := (lat2 - lat1) * rad
-	dLon := (lon2 - lon1) * rad
-	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
-		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
+	dLat := (lat2 - lat1) * degToRad
+	dLon := (lon2 - lon1) * degToRad
+	sLat, sLon := math.Sin(dLat/2), math.Sin(dLon/2)
+	a := sLat*sLat + cosLat1*cosLat2*sLon*sLon
 	return 2 * earthRadiusKm * math.Asin(math.Min(1, math.Sqrt(a)))
 }
 
@@ -231,17 +260,19 @@ func haversineKm(lat1, lon1, lat2, lon2 float64) float64 {
 // there-and-back.
 const kmPerMsOneWay = 200.0
 
-// RTT returns the baseline RTT between two sites (no queuing):
-// distance-derived propagation times the path-stretch inflation, plus a
-// deterministic per-pair transit penalty modeling ISP interconnect and
-// access aggregation.
-func (w *World) RTT(i, j int) time.Duration {
+// RTT returns the baseline RTT between two sites (no queuing).
+func (w *World) RTT(i, j int) time.Duration { return w.rtt[i*w.n+j] }
+
+// linkRTT is the RTT model Build tabulates: distance-derived propagation
+// times the pair's path-stretch inflation, plus a deterministic per-pair
+// transit penalty modeling ISP interconnect and access aggregation.
+func (w *World) linkRTT(i, j int, inflation float64) time.Duration {
 	if i == j {
 		return 500 * time.Microsecond // intra-cluster
 	}
 	si, sj := w.Sites[i], w.Sites[j]
 	dist := haversineKm(si.Lat, si.Lon, sj.Lat, sj.Lon)
-	oneWayMs := dist / kmPerMsOneWay * w.inflation[i*len(w.Sites)+j]
+	oneWayMs := dist / kmPerMsOneWay * inflation
 	rtt := time.Duration(2 * oneWayMs * float64(time.Millisecond))
 	rtt += w.transitPenalty(i, j)
 	const floor = 4 * time.Millisecond // same-metro floor
@@ -264,10 +295,21 @@ func (w *World) transitPenalty(i, j int) time.Duration {
 		// cross-border traffic prefers edge→hub→hub→edge chains.
 		ms *= 1 + 1.3*(1-qi*qj)
 	}
-	h := fnv.New64a()
-	fmt.Fprintf(h, "transit:%d-%d", min(i, j), max(i, j))
-	ms += float64(h.Sum64() % 12)
+	ms += float64(pairHash("transit:", i, j) % 12)
 	return time.Duration(ms * float64(time.Millisecond))
+}
+
+// pairHash is the FNV-64a hash of prefix + "lo-hi" for the unordered pair
+// {i, j}, written in decimal.
+func pairHash(prefix string, i, j int) uint64 {
+	var buf [64]byte
+	b := append(buf[:0], prefix...)
+	b = strconv.AppendInt(b, int64(min(i, j)), 10)
+	b = append(b, '-')
+	b = strconv.AppendInt(b, int64(max(i, j)), 10)
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Peering exposes a site's interconnect grade.
@@ -276,16 +318,16 @@ func (w *World) Peering(i int) float64 { return w.peering[i] }
 // BaseLoss returns the quiet-hour packet loss rate of the i→j link. The
 // paper's backbone is nearly lossless (< 0.175% even at peak; Figure 13);
 // the diurnal component is added by the emulator on top of this base.
-func (w *World) BaseLoss(i, j int) float64 {
-	si, sj := w.Sites[i], w.Sites[j]
+func (w *World) BaseLoss(i, j int) float64 { return w.loss[i*w.n+j] }
+
+// linkLoss is the base-loss model Build tabulates.
+func (w *World) linkLoss(i, j int) float64 {
 	base := 0.0004 // 0.04%
-	if si.Country != sj.Country {
+	if w.Sites[i].Country != w.Sites[j].Country {
 		base = 0.0008
 	}
 	// Deterministic per-pair variation so links differ but rebuilds agree.
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d-%d", min(i, j), max(i, j))
-	frac := float64(h.Sum64()%1000) / 1000
+	frac := float64(pairHash("", i, j)%1000) / 1000
 	return base * (0.5 + frac)
 }
 
@@ -425,11 +467,13 @@ func (w *World) RegionGateways() map[string][]int {
 }
 
 // NearestSite returns the site closest to the given coordinates; used by
-// the DNS-redirection substitute that maps clients to edge nodes.
+// the DNS-redirection substitute that maps clients to edge nodes. Ties go
+// to the lower site ID, so a site's own coordinates resolve to that site.
 func (w *World) NearestSite(lat, lon float64) int {
+	cosLat := math.Cos(lat * degToRad)
 	best, bestD := 0, math.Inf(1)
-	for _, s := range w.Sites {
-		d := haversineKm(lat, lon, s.Lat, s.Lon)
+	for id, s := range w.Sites {
+		d := haversineCosKm(lat, lon, cosLat, s.Lat, s.Lon, w.cosLat[id])
 		if d < bestD {
 			bestD = d
 			best = s.ID

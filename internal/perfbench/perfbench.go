@@ -53,6 +53,7 @@ func Specs() []Spec {
 		{Name: "MacroCohort1M", Func: MacroCohort1M},
 		{Name: "YenKSPFullMesh", Func: YenKSPFullMesh},
 		{Name: "DenseMeshRouting", Func: DenseMeshRouting},
+		{Name: "GeoWorldBuild600", Func: GeoWorldBuild600},
 		{Name: "LoopSchedule", Func: LoopSchedule},
 		{Name: "NetemSend", Func: NetemSend},
 		{Name: "NodeForwardFanout10", Func: NodeForwardFanout10},
@@ -569,6 +570,19 @@ func DenseMeshRouting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.RunMacro(cfg)
+	}
+}
+
+// GeoWorldBuild600 builds the paper-scale 600-site world, including its
+// table of every ordered pair's RTT and base loss: the set-up cost that
+// makes RTT and BaseLoss loads in the macro engines' hot paths.
+func GeoWorldBuild600(b *testing.B) {
+	cfg := geo.DefaultConfig()
+	cfg.NumSites = paperN
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		geo.Build(cfg, sim.NewSource(7).Stream("geo"))
 	}
 }
 

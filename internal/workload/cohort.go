@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"livenet/internal/geo"
@@ -84,11 +85,28 @@ type CohortStream struct {
 	pChan  []float64 // Zipf pmf over channel ranks
 	offPMF []float64 // departure bucket-offset pmf (arrival-jitter smeared)
 
-	cursor time.Duration       // next bucket start
-	wheel  []map[CohortKey]int // pending departures, ring indexed by bucket
-	pos    int                 // wheel slot for the bucket at cursor
+	cursor time.Duration    // next bucket start
+	wheel  []map[uint64]int // pending departures by packKey, ring indexed by bucket
+	pos    int              // wheel slot for the bucket at cursor
 
-	scratch []CohortCount
+	scratch []packedCount
+}
+
+// packKey packs a cohort key into a uint64 whose numeric order is the
+// buckets' (Channel, Edge, Rung) order: 22 bits of channel, then 21 bits
+// each of edge and rung.
+func packKey(k CohortKey) uint64 {
+	return uint64(k.Channel)<<42 | uint64(k.Edge)<<21 | uint64(k.Rung)
+}
+
+func unpackKey(p uint64) CohortKey {
+	const mask = 1<<21 - 1
+	return CohortKey{Channel: int(p >> 42), Edge: int(p >> 21 & mask), Rung: int(p & mask)}
+}
+
+type packedCount struct {
+	key   uint64
+	count int
 }
 
 // NewCohortStream builds a cohort stream over gen's configuration. The
@@ -98,6 +116,9 @@ func NewCohortStream(gen *Generator, cc CohortConfig, rng *sim.Rand) *CohortStre
 	cc = cc.withDefaults()
 	if cc.Edges <= 0 || cc.EdgeOf == nil {
 		panic("workload: CohortConfig needs Edges and EdgeOf")
+	}
+	if cc.Edges >= 1<<21 || len(cc.RungShare) >= 1<<21 || gen.cfg.Channels >= 1<<22 {
+		panic("workload: cohort keys exceed the packed key's field widths")
 	}
 	// Normalize rung shares.
 	total := 0.0
@@ -138,9 +159,9 @@ func NewCohortStream(gen *Generator, cc CohortConfig, rng *sim.Rand) *CohortStre
 	}
 
 	s.offPMF = departureOffsetPMF(cfg, cc.Bucket)
-	s.wheel = make([]map[CohortKey]int, len(s.offPMF))
+	s.wheel = make([]map[uint64]int, len(s.offPMF))
 	for i := range s.wheel {
-		s.wheel[i] = make(map[CohortKey]int)
+		s.wheel[i] = make(map[uint64]int)
 	}
 	return s
 }
@@ -168,8 +189,9 @@ func (s *CohortStream) Run(to time.Duration, fn func(*CohortBucket)) {
 					key := CohortKey{Edge: edge, Channel: ch, Rung: rung}
 					b.Arrivals = append(b.Arrivals, CohortCount{Key: key, Count: k})
 					// Schedule departures across future buckets.
+					pk := packKey(key)
 					s.splitCounts(k, s.offPMF, func(off, kd int) {
-						s.wheel[(s.pos+off)%len(s.wheel)][key] += kd
+						s.wheel[(s.pos+off)%len(s.wheel)][pk] += kd
 					})
 				})
 			})
@@ -180,11 +202,14 @@ func (s *CohortStream) Run(to time.Duration, fn func(*CohortBucket)) {
 		if len(due) > 0 {
 			s.scratch = s.scratch[:0]
 			for key, k := range due {
-				s.scratch = append(s.scratch, CohortCount{Key: key, Count: k})
-				delete(due, key)
+				s.scratch = append(s.scratch, packedCount{key, k})
 			}
-			sort.Slice(s.scratch, func(i, j int) bool { return keyLess(s.scratch[i].Key, s.scratch[j].Key) })
-			b.Departures = append(b.Departures, s.scratch...)
+			clear(due)
+			slices.SortFunc(s.scratch, func(a, b packedCount) int { return cmp.Compare(a.key, b.key) })
+			b.Departures = make([]CohortCount, len(s.scratch))
+			for i, pc := range s.scratch {
+				b.Departures[i] = CohortCount{Key: unpackKey(pc.key), Count: pc.count}
+			}
 		}
 		s.pos = (s.pos + 1) % len(s.wheel)
 
@@ -192,19 +217,10 @@ func (s *CohortStream) Run(to time.Duration, fn func(*CohortBucket)) {
 	}
 }
 
-func keyLess(a, b CohortKey) bool {
-	if a.Channel != b.Channel {
-		return a.Channel < b.Channel
-	}
-	if a.Edge != b.Edge {
-		return a.Edge < b.Edge
-	}
-	return a.Rung < b.Rung
-}
-
 // splitCounts partitions n draws across the categorical distribution
-// probs via sequential conditional binomials, calling fn(i, k) for every
-// index with k > 0 draws.
+// probs via sequential conditional binomials, calling fn(i, k) once for
+// every index with k > 0 draws, in increasing index order. An index after
+// which no more than 1e-12 of the mass remains takes everything left.
 func (s *CohortStream) splitCounts(n int, probs []float64, fn func(i, k int)) {
 	rem, remP := n, 1.0
 	for i, p := range probs {
@@ -221,18 +237,14 @@ func (s *CohortStream) splitCounts(n int, probs []float64, fn func(i, k int)) {
 		} else {
 			k = s.rng.Binomial(rem, cond)
 		}
+		remP -= p
+		if remP <= 1e-12 {
+			k = rem // numerical leftover: nothing can follow this index
+		}
 		if k > 0 {
 			fn(i, k)
 		}
 		rem -= k
-		remP -= p
-		if remP <= 1e-12 {
-			if rem > 0 && k != rem {
-				// Numerical leftover: assign to this index.
-				fn(i, rem)
-			}
-			return
-		}
 	}
 }
 

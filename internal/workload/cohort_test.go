@@ -45,6 +45,17 @@ func collect(s *CohortStream, to time.Duration) (arr, dep map[CohortKey]int, buc
 	return arr, dep, buckets
 }
 
+// keyLess is the (Channel, Edge, Rung) order buckets are sorted in.
+func keyLess(a, b CohortKey) bool {
+	if a.Channel != b.Channel {
+		return a.Channel < b.Channel
+	}
+	if a.Edge != b.Edge {
+		return a.Edge < b.Edge
+	}
+	return a.Rung < b.Rung
+}
+
 func sumCounts(m map[CohortKey]int) int {
 	n := 0
 	for _, k := range m {
@@ -316,5 +327,94 @@ func TestMeanViewSecsAndQuadrature(t *testing.T) {
 	// Little's law plumbing: PeakViewsFor inverts the mean.
 	if rate := cfg.PeakViewsFor(1_000_000); math.Abs(rate*want-1e6) > 1 {
 		t.Fatalf("PeakViewsFor: %v * %v != 1e6", rate, want)
+	}
+}
+
+// TestSplitCountsConservesAndOrders: every split hands out exactly n draws,
+// once per index, in strictly increasing index order — including vectors
+// with trailing zeros, vectors whose mass falls short of 1 by less than
+// the leftover tolerance, and counts large enough for the binomial's
+// normal approximation to leave a leftover behind.
+func TestSplitCountsConservesAndOrders(t *testing.T) {
+	_, cs := cohortStream(1, Config{Channels: 4}, CohortConfig{})
+	rng := sim.NewSource(2).Stream("probs")
+	normalized := func(k int) []float64 {
+		p := make([]float64, k)
+		sum := 0.0
+		for i := range p {
+			if rng.Bernoulli(0.2) {
+				continue // interior zeros
+			}
+			p[i] = rng.Float64()
+			sum += p[i]
+		}
+		if sum == 0 {
+			p[0], sum = 1, 1
+		}
+		for i := range p {
+			p[i] /= sum
+		}
+		return p
+	}
+	var vectors [][]float64
+	vectors = append(vectors,
+		[]float64{1 - 5e-13, 0, 0},
+		[]float64{0.5, 0.5 - 1e-13, 0, 0},
+		[]float64{0.25, 0.25, 0.5 - 1e-13, 0},
+	)
+	for r := 0; r < 200; r++ {
+		p := normalized(1 + rng.Intn(40))
+		vectors = append(vectors, p)
+		trailing := append(append([]float64(nil), p...), make([]float64, 1+rng.Intn(5))...)
+		vectors = append(vectors, trailing)
+		short := append([]float64(nil), trailing...)
+		for i := len(p) - 1; i >= 0; i-- {
+			if short[i] > 1e-13 {
+				short[i] -= 1e-13 // sums to 1-1e-13, zeros after
+				break
+			}
+		}
+		vectors = append(vectors, short)
+	}
+	for _, probs := range vectors {
+		for _, n := range []int{0, 1, 7, 32, 33, 1000, 123_457, 1e9, 1e12, 1e15} {
+			total, last := 0, -1
+			cs.splitCounts(n, probs, func(i, k int) {
+				if i <= last {
+					t.Fatalf("n=%d probs=%v: index %d after %d", n, probs, i, last)
+				}
+				if k <= 0 {
+					t.Fatalf("n=%d probs=%v: callback with %d draws", n, probs, k)
+				}
+				last = i
+				total += k
+			})
+			if total != n {
+				t.Fatalf("n=%d probs=%v: callbacks sum to %d", n, probs, total)
+			}
+		}
+	}
+}
+
+// TestPackKeyOrder: packed wheel keys round-trip and sort in keyLess order.
+func TestPackKeyOrder(t *testing.T) {
+	rng := sim.NewSource(4).Stream("keys")
+	key := func() CohortKey {
+		return CohortKey{Channel: rng.Intn(1 << 22), Edge: rng.Intn(1 << 21), Rung: rng.Intn(1 << 21)}
+	}
+	for i := 0; i < 10000; i++ {
+		a, b := key(), key()
+		if i%3 == 0 {
+			b.Channel = a.Channel
+			if i%2 == 0 {
+				b.Edge = a.Edge
+			}
+		}
+		if got := unpackKey(packKey(a)); got != a {
+			t.Fatalf("unpackKey(packKey(%+v)) = %+v", a, got)
+		}
+		if keyLess(a, b) != (packKey(a) < packKey(b)) {
+			t.Fatalf("order differs for %+v, %+v", a, b)
+		}
 	}
 }
